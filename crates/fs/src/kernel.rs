@@ -47,10 +47,6 @@ use crate::volume::{HedgePolicy, VolumeLayout};
 
 pub use crate::inode::SECTORS_PER_PAGE;
 
-/// Number of device classes `class_code` can produce; sizes the kernel's
-/// per-class retry-policy table.
-const NUM_CLASSES: usize = 5;
-
 /// Seed for the kernel's retry-backoff jitter stream. A fixed constant so
 /// two kernels running the same workload under the same fault plan back
 /// off identically.
@@ -116,29 +112,21 @@ impl OpenFlags {
 
     /// Read-write.
     pub const RDWR: OpenFlags = OpenFlags {
-        read: true,
         write: true,
-        create: false,
-        truncate: false,
-        append: false,
+        ..OpenFlags::RDONLY
     };
 
     /// Write-only, creating and truncating — `open(.., O_WRONLY|O_CREAT|O_TRUNC)`.
     pub const CREATE: OpenFlags = OpenFlags {
         read: false,
-        write: true,
-        create: true,
-        truncate: true,
-        append: false,
+        ..OpenFlags::CREATE_RDWR
     };
 
     /// Read-write, creating and truncating.
     pub const CREATE_RDWR: OpenFlags = OpenFlags {
-        read: true,
-        write: true,
         create: true,
         truncate: true,
-        append: false,
+        ..OpenFlags::RDWR
     };
 }
 
@@ -243,7 +231,6 @@ struct VolumeState {
 #[derive(Debug)]
 struct Mount {
     dev: DeviceId,
-    root: Ino,
     next_sector: u64,
     read_only: bool,
     frag: Option<FragConfig>,
@@ -299,6 +286,61 @@ fn ring_capture_call(op: &RingOp) -> Result<CapturedCall, &'static str> {
     }
 }
 
+/// How the flight recorder sees one kernel entry.
+enum Rec<'a, T> {
+    /// Recorded: `call` builds the captured call (only while a capture is
+    /// armed) and `ret` projects the result to its scalar and payload.
+    Call(&'a dyn Fn() -> CapturedCall, fn(&T) -> (u64, Option<&[u8]>)),
+    /// Not replayable: poisons an armed capture under this name.
+    Poison(&'static str),
+    /// Invisible to the recorder.
+    Off,
+}
+
+/// A kernel entry's trace span and the boundary charge it pays.
+#[derive(Clone, Copy)]
+enum Entry {
+    /// A syscall (one logical call plus one trap) opening the
+    /// `Layer::Syscall` span `name` with `args`.
+    Span(&'static str, [u64; 3]),
+    /// A syscall with no span of its own.
+    Plain,
+    /// A ring batch of `submitted` ops: the `ring.enter` span and the trap
+    /// alone, since each serviced op pays its own dispatch.
+    Ring(u64),
+    /// Bookkeeping with neither span nor charge (tenant registration).
+    Free,
+}
+
+/// How one device-command attempt ended.
+enum Outcome {
+    /// The device moved the data.
+    Served,
+    /// An injected fault failed the attempt after holding the device for
+    /// its fault phase; `attempt` numbers it within its retry loop.
+    Faulted { err: SimError, attempt: u32 },
+    /// A hedged duplicate revoked in favour of another copy: it holds its
+    /// queue's tail for the cancel cost and moves no data.
+    Cancelled,
+}
+
+/// One device command as every observer sees it. The command queue, the
+/// flight recorder, rusage and the tracer are all written from this record
+/// by [`Kernel::fold_completion`], so their ledgers cannot disagree.
+struct DeviceCompletion {
+    dev: DeviceId,
+    write: bool,
+    /// Submission instant.
+    at: SimTime,
+    /// Time queued behind earlier commands on the device.
+    qwait: SimDuration,
+    /// Time the command held the device: service, fault phase or cancel.
+    held: SimDuration,
+    sector: u64,
+    sectors: u64,
+    outcome: Outcome,
+}
+
 /// The simulated kernel.
 pub struct Kernel {
     cfg: MachineConfig,
@@ -318,14 +360,9 @@ pub struct Kernel {
     /// sleds table is recalibrated, without the cache or lease layers
     /// knowing recalibration exists.
     sleds_epoch: u64,
-    /// Retry policy applied to failed device commands, per device class
-    /// (indexed by `class_code`).
-    retry_policies: [RetryPolicy; NUM_CLASSES],
     /// Jitter stream for retry backoff; only consumed when a command
     /// actually fails, so fault-free runs never draw from it.
     retry_rng: DetRng,
-    /// Pick programs installed per fd via `FSLEDS_PROG`; dropped on close.
-    fd_progs: BTreeMap<u64, PickProgram>,
     /// Lifetime count of `ring_enter` batches serviced (cheap stat for
     /// benches; crossings proper live in rusage).
     ring_enters: u64,
@@ -388,9 +425,7 @@ impl Kernel {
             root,
             tracer: Tracer::disabled(),
             sleds_epoch: 0,
-            retry_policies: [RetryPolicy::default(); NUM_CLASSES],
             retry_rng: DetRng::new(RETRY_JITTER_SEED),
-            fd_progs: BTreeMap::new(),
             ring_enters: 0,
             ring_ops: 0,
             queues: Vec::new(),
@@ -435,11 +470,6 @@ impl Kernel {
         self.usage
     }
 
-    /// Page-cache counters.
-    pub fn cache_stats(&self) -> sleds_pagecache::CacheStats {
-        self.cache.stats()
-    }
-
     /// Number of pages currently resident.
     pub fn cache_resident_pages(&self) -> usize {
         self.cache.len()
@@ -464,20 +494,25 @@ impl Kernel {
     /// current virtual time. Returns its id. Tenant 0 ("main") always
     /// exists — it is the tenant every kernel boots as.
     pub fn tenant_register(&mut self, name: &str) -> TenantId {
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::TenantRegister {
-                name: name.to_string(),
-            });
-        }
-        let now = self.clock.now();
-        self.tenants.push(TenantState {
+        let t = TenantId(self.tenants.len() as u64);
+        let call = || CapturedCall::TenantRegister {
             name: name.to_string(),
-            clock_at: now,
-            registered_at: now,
-            usage: Rusage::default(),
-        });
-        let t = TenantId((self.tenants.len() - 1) as u64);
-        self.rec_finish(Ok((t.0, None)));
+        };
+        // Registration cannot fail; it enters the kernel to be captured.
+        let _ = self.syscall(
+            Entry::Free,
+            Rec::Call(&call, |t: &TenantId| (t.0, None)),
+            |k| {
+                let now = k.clock.now();
+                k.tenants.push(TenantState {
+                    name: name.to_string(),
+                    clock_at: now,
+                    registered_at: now,
+                    usage: Rusage::default(),
+                });
+                Ok(t)
+            },
+        );
         t
     }
 
@@ -517,11 +552,6 @@ impl Kernel {
     /// Number of registered tenants (including the implicit main tenant).
     pub fn tenant_count(&self) -> usize {
         self.tenants.len()
-    }
-
-    /// A tenant's registered name.
-    pub fn tenant_name(&self, t: TenantId) -> Option<&str> {
-        self.tenants.get(t.0 as usize).map(|s| s.name.as_str())
     }
 
     /// `(id, name)` rows for every registered tenant, ascending by id —
@@ -647,35 +677,6 @@ impl Kernel {
         self.devices.iter().map(|d| d.fault_epoch(now)).sum()
     }
 
-    /// Arms the recorder's in-flight accumulator for one kernel entry.
-    /// Must be paired with [`Kernel::rec_finish`] on every path out.
-    fn rec_begin(&mut self, call: CapturedCall) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let tenant = self.active_tenant as u64;
-        let submit_ns = self.clock.now().as_nanos();
-        let epoch = self.fault_epoch_total();
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.begin(call, tenant, submit_ns, epoch);
-        }
-    }
-
-    /// Completes the in-flight captured op: `ret` is the call's scalar
-    /// result, `data` its returned payload (folded, not stored).
-    fn rec_finish(&mut self, res: Result<(u64, Option<&[u8]>), &SimError>) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let now = self.clock.now().as_nanos();
-        if let Some(rec) = self.recorder.as_mut() {
-            match res {
-                Ok((ret, data)) => rec.finish_ok(ret, data, now),
-                Err(e) => rec.finish_err(e.errno.name(), now),
-            }
-        }
-    }
-
     /// Poisons an in-progress capture: `name` charged the clock (or
     /// mutated state) in a way the replayer cannot reproduce.
     fn rec_unsupported(&mut self, name: &str) {
@@ -684,21 +685,77 @@ impl Kernel {
         }
     }
 
+    /// The one kernel entry every syscall and ioctl goes through: arms or
+    /// poisons the flight recorder per `rec`, pays the entry's charge, runs
+    /// `body` inside the entry's `Layer::Syscall` span (when it has one),
+    /// then completes the captured op. The captured call is built only
+    /// while a capture is armed, so an unobserved entry allocates nothing.
+    fn syscall<T>(
+        &mut self,
+        entry: Entry,
+        rec: Rec<'_, T>,
+        body: impl FnOnce(&mut Self) -> SimResult<T>,
+    ) -> SimResult<T> {
+        let t0 = self.clock.now();
+        let ret = match rec {
+            Rec::Call(call, ret) => {
+                let epoch = self.recorder.as_ref().map(|_| self.fault_epoch_total());
+                if let (Some(epoch), Some(recorder)) = (epoch, self.recorder.as_mut()) {
+                    recorder.begin(call(), self.active_tenant as u64, t0.as_nanos(), epoch);
+                }
+                Some(ret)
+            }
+            Rec::Poison(name) => {
+                self.rec_unsupported(name);
+                None
+            }
+            Rec::Off => None,
+        };
+        let span = match entry {
+            Entry::Span(name, args) => Some((name, args)),
+            Entry::Ring(submitted) => Some(("ring.enter", [submitted, 0, 0])),
+            Entry::Plain | Entry::Free => None,
+        };
+        match entry {
+            Entry::Span(..) | Entry::Plain => self.charge_syscall(),
+            Entry::Ring(_) => self.charge_crossing(),
+            Entry::Free => {}
+        }
+        // The span opens at entry, before the charge it covers.
+        let r = match span {
+            Some((name, args)) => {
+                self.tracer.begin(Layer::Syscall, name, t0, args);
+                let r = body(self);
+                self.tracer.end(self.clock.now());
+                r
+            }
+            None => body(self),
+        };
+        if let (Some(ret), Some(recorder)) = (ret, self.recorder.as_mut()) {
+            let now = self.clock.now().as_nanos();
+            match &r {
+                Ok(v) => {
+                    let (scalar, data) = ret(v);
+                    recorder.finish_ok(scalar, data, now);
+                }
+                Err(e) => recorder.finish_err(e.errno.name(), now),
+            }
+        }
+        r
+    }
+
     /// The `FSLEDS_STAT` ioctl: a snapshot of the per-layer counters and
     /// latency histograms. Charges one syscall; all-zero when tracing is
     /// off (the counters simply never ran).
     pub fn fsleds_stat(&mut self, fd: Fd) -> SimResult<Metrics> {
-        self.rec_unsupported("ioctl.fsleds_stat");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_stat", t0, [fd.0, 0, 0]);
-        self.charge_syscall();
-        let r = self
-            .openfile(fd)
-            .map(|_| self.tracer.metrics_snapshot().unwrap_or_default());
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
+        self.syscall(
+            Entry::Span("ioctl.fsleds_stat", [fd.0, 0, 0]),
+            Rec::Poison("ioctl.fsleds_stat"),
+            |k| {
+                k.openfile(fd)
+                    .map(|_| k.tracer.metrics_snapshot().unwrap_or_default())
+            },
+        )
     }
 
     /// The `FSLEDS_RECAL` ioctl: marks a sleds-table recalibration point.
@@ -710,32 +767,24 @@ impl Kernel {
     /// whether or not tracing is on (untraced callers get empty metrics),
     /// so traced and untraced runs stay byte-identical.
     pub fn fsleds_recal(&mut self, fd: Fd) -> SimResult<Metrics> {
-        self.rec_unsupported("ioctl.fsleds_recal");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_recal", t0, [fd.0, 0, 0]);
-        self.charge_syscall();
-        let r = self.openfile(fd).map(|_| {
-            self.sleds_epoch += 1;
-            let snap = self.tracer.metrics_snapshot().unwrap_or_default();
-            let now = self.clock.now();
-            self.tracer.recal(now, self.sleds_epoch);
-            snap
-        });
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
+        self.syscall(
+            Entry::Span("ioctl.fsleds_recal", [fd.0, 0, 0]),
+            Rec::Poison("ioctl.fsleds_recal"),
+            |k| {
+                k.openfile(fd)?;
+                k.sleds_epoch += 1;
+                let snap = k.tracer.metrics_snapshot().unwrap_or_default();
+                let now = k.clock.now();
+                k.tracer.recal(now, k.sleds_epoch);
+                Ok(snap)
+            },
+        )
     }
 
     /// Number of `FSLEDS_RECAL` calls so far — the generation new
     /// predictions should be tagged with after a recalibration.
     pub fn sleds_epoch(&self) -> u64 {
         self.sleds_epoch
-    }
-
-    /// The command queue (and its saturation telemetry) of a device.
-    pub fn device_queue(&self, dev: DeviceId) -> Option<&CmdQueue> {
-        self.queues.get(dev.0)
     }
 
     /// Builds the saturation/attribution report from the per-device queue
@@ -827,15 +876,11 @@ impl Kernel {
     /// shares and bully flags, plus per-tenant latency attribution.
     /// Charges one syscall; rows are empty until devices see commands.
     pub fn fsleds_satstat(&mut self, fd: Fd) -> SimResult<SaturationReport> {
-        self.rec_unsupported("ioctl.fsleds_satstat");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_satstat", t0, [fd.0, 0, 0]);
-        self.charge_syscall();
-        let r = self.openfile(fd).map(|_| self.saturation_report());
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
+        self.syscall(
+            Entry::Span("ioctl.fsleds_satstat", [fd.0, 0, 0]),
+            Rec::Poison("ioctl.fsleds_satstat"),
+            |k| k.openfile(fd).map(|_| k.saturation_report()),
+        )
     }
 
     /// Opens an application-level span (e.g. one `grep` invocation); the
@@ -910,25 +955,15 @@ impl Kernel {
         Ok(self.devices[self.mounts[mount.0].dev.0].class())
     }
 
-    /// Emits a device-command span: queue wait (when nonzero) followed by
+    /// Emits a served command's span: queue wait (when nonzero) followed by
     /// the device's own phase breakdown (seek/rotation/transfer,
-    /// locate/stream, rpc/link, ...) as children. `ts` is the submission
-    /// instant; the span covers `qwait + dur`.
-    #[allow(clippy::too_many_arguments)]
-    fn trace_device(
-        &mut self,
-        dev: DeviceId,
-        write: bool,
-        ts: SimTime,
-        qwait: SimDuration,
-        dur: SimDuration,
-        sector: u64,
-        sectors: u64,
-    ) {
+    /// locate/stream, rpc/link, ...) as children. The span starts at
+    /// submission and covers `qwait + held`.
+    fn trace_device(&mut self, c: &DeviceCompletion) {
         if !self.tracer.is_enabled() {
             return;
         }
-        let d = &self.devices[dev.0];
+        let d = &self.devices[c.dev.0];
         let class = d.class();
         let phases: Vec<(&'static str, SimDuration)> = d
             .last_phases()
@@ -951,14 +986,14 @@ impl Kernel {
             .sum();
         self.tracer.device(
             class_code(class),
-            device_event_name(class, write),
-            write,
-            ts,
-            qwait,
-            dur,
-            sector,
-            sectors,
-            sectors * SECTOR_SIZE,
+            device_event_name(class, c.write),
+            c.write,
+            c.at,
+            c.qwait,
+            c.held,
+            c.sector,
+            c.sectors,
+            c.sectors * SECTOR_SIZE,
             transfer_ns,
             &phases,
         );
@@ -1009,7 +1044,7 @@ impl Kernel {
         if dev.0 >= self.devices.len() {
             return Err(SimError::new(Errno::Einval, format!("no device {dev:?}")));
         }
-        self.device_command(dev, sector, sectors, false).map(|_| ())
+        self.device_command(dev, sector, sectors, false)
     }
 
     // ------------------------------------------------------------------
@@ -1034,17 +1069,7 @@ impl Kernel {
         self.devices.get(dev.0).map(|d| d.fault_state(now))
     }
 
-    /// Sets the retry policy applied to failed commands on `class` devices.
-    pub fn set_retry_policy(&mut self, class: DeviceClass, policy: RetryPolicy) {
-        self.retry_policies[class_code(class) as usize] = policy;
-    }
-
-    /// The retry policy in force for `class` devices.
-    pub fn retry_policy(&self, class: DeviceClass) -> RetryPolicy {
-        self.retry_policies[class_code(class) as usize]
-    }
-
-    /// Issues one device command under the device class's [`RetryPolicy`].
+    /// Issues one device command under the default [`RetryPolicy`].
     ///
     /// A command failed by an injected fault still occupied the bus: its
     /// recorded fault phase is charged as I/O wait either way. Errors the
@@ -1061,81 +1086,18 @@ impl Kernel {
         sector: u64,
         sectors: u64,
         write: bool,
-    ) -> SimResult<SimDuration> {
-        let class = self.devices[dev.0].class();
-        let policy = self.retry_policies[class_code(class) as usize];
-        let tenant = self.active_tenant as u64;
+    ) -> SimResult<()> {
+        let policy = RetryPolicy::default();
         let first_try = self.clock.now();
         let mut attempt = 0u32;
         // Bounded: exits by `policy.max_attempts` or the policy timeout.
         loop {
             attempt += 1;
-            let now = self.clock.now();
-            // FIFO command queue: the device services commands in
-            // submission order, so this command starts when the device
-            // falls idle. In a single-tenant run the caller's clock has
-            // always advanced past the previous completion and the wait
-            // is zero; interleaved tenant timelines make it real. The
-            // device sees the (monotone) service start, never the wait.
-            let qwait = self.queues[dev.0].queue_wait(now);
-            let start = now + qwait;
-            let r = if write {
-                self.devices[dev.0].write(sector, sectors, start)
-            } else {
-                self.devices[dev.0].read(sector, sectors, start)
+            let c = self.issue(dev, sector, sectors, write, attempt)?;
+            self.fold_completion(&c, true);
+            let Outcome::Faulted { err, .. } = c.outcome else {
+                return Ok(());
             };
-            let err = match r {
-                Ok(t) => {
-                    self.queues[dev.0].note_command(tenant, now, qwait, t, sectors * SECTOR_SIZE);
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.note_device(
-                            class_code(class),
-                            qwait.as_nanos(),
-                            t.as_nanos(),
-                            sectors * SECTOR_SIZE,
-                        );
-                    }
-                    self.charge_queue_wait(qwait);
-                    self.charge_io(t);
-                    self.trace_device(dev, write, now, qwait, t, sector, sectors);
-                    if write {
-                        self.usage.device_writes += 1;
-                    } else {
-                        self.usage.device_reads += 1;
-                    }
-                    return Ok(t);
-                }
-                Err(e) => e,
-            };
-            // Injected faults leave exactly one Fault phase behind; any
-            // other error (bounds, read-only media) fails before the
-            // device moves and costs no device time. Both conditions are
-            // checked because a bounds error can follow an injected one
-            // with the stale Fault phase still recorded.
-            let cost = match self.devices[dev.0].last_phases() {
-                [p] if p.kind == PhaseKind::Fault && err.context.ends_with("injected fault") => {
-                    p.dur
-                }
-                _ => SimDuration::ZERO,
-            };
-            if cost.is_zero() {
-                return Err(err);
-            }
-            // The faulted attempt occupied the device too: it queued like
-            // any command and held the bus for its fault phase.
-            self.queues[dev.0].note_command(tenant, now, qwait, cost, 0);
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.note_device(class_code(class), qwait.as_nanos(), cost.as_nanos(), 0);
-            }
-            self.charge_queue_wait(qwait);
-            self.charge_io(cost);
-            let t_fail = self.clock.now();
-            self.tracer.fault_inject(
-                t_fail,
-                class_code(class),
-                u64::from(attempt),
-                cost.as_nanos(),
-            );
             if !RetryPolicy::retryable(err.errno) {
                 return Err(err);
             }
@@ -1149,7 +1111,7 @@ impl Kernel {
                     ),
                 ));
             }
-            if t_fail.duration_since(first_try) >= policy.timeout {
+            if self.clock.now().duration_since(first_try) >= policy.timeout {
                 return Err(SimError::new(
                     Errno::Etimedout,
                     format!("{}: retries timed out ({err})", self.devices[dev.0].name()),
@@ -1162,21 +1124,113 @@ impl Kernel {
             let t_retry = self.clock.now();
             self.tracer.io_retry(
                 t_retry,
-                class_code(class),
+                class_code(self.devices[dev.0].class()),
                 u64::from(attempt),
                 backoff.as_nanos(),
             );
         }
     }
 
+    /// Issues one attempt of a device command at the current instant and
+    /// returns its record unobserved; the caller folds it. The command
+    /// queues FIFO behind the device's earlier commands: in a
+    /// single-tenant run the caller's clock is always past the previous
+    /// completion and the wait is zero, interleaved tenant timelines make
+    /// it real. The device sees the (monotone) service start, never the
+    /// wait. An error that stops the command before the device moves
+    /// (bounds, read-only media) costs nothing and is returned as `Err`.
+    fn issue(
+        &mut self,
+        dev: DeviceId,
+        sector: u64,
+        sectors: u64,
+        write: bool,
+        attempt: u32,
+    ) -> SimResult<DeviceCompletion> {
+        let at = self.clock.now();
+        let qwait = self.queues[dev.0].queue_wait(at);
+        let d = &mut self.devices[dev.0];
+        let r = if write {
+            d.write(sector, sectors, at + qwait)
+        } else {
+            d.read(sector, sectors, at + qwait)
+        };
+        let (held, outcome) = match r {
+            Ok(t) => (t, Outcome::Served),
+            // Injected faults leave exactly one Fault phase behind. Both
+            // conditions are checked because a bounds error can follow an
+            // injected one with the stale Fault phase still recorded.
+            Err(err) => match d.last_phases() {
+                [p] if p.kind == PhaseKind::Fault
+                    && !p.dur.is_zero()
+                    && err.context.ends_with("injected fault") =>
+                {
+                    (p.dur, Outcome::Faulted { err, attempt })
+                }
+                _ => return Err(err),
+            },
+        };
+        Ok(DeviceCompletion {
+            dev,
+            write,
+            at,
+            qwait,
+            held,
+            sector,
+            sectors,
+            outcome,
+        })
+    }
+
+    /// Writes one device completion into every ledger: the device's
+    /// command queue, the in-flight captured op, rusage and the tracer.
+    /// The caller waits out the command's queue wait and hold time, except
+    /// for a coded fan-out fragment served concurrently with its siblings
+    /// (`caller_waits` false): that caller is charged once, at the
+    /// straggler's completion.
+    fn fold_completion(&mut self, c: &DeviceCompletion, caller_waits: bool) {
+        let tenant = self.active_tenant as u64;
+        let class = class_code(self.devices[c.dev.0].class());
+        let bytes = match c.outcome {
+            Outcome::Served => c.sectors * SECTOR_SIZE,
+            _ => 0,
+        };
+        let queue = &mut self.queues[c.dev.0];
+        match c.outcome {
+            Outcome::Cancelled => queue.note_cancel(tenant, c.at, c.held),
+            _ => queue.note_command(tenant, c.at, c.qwait, c.held, bytes),
+        }
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.note_device(class, c.qwait.as_nanos(), c.held.as_nanos(), bytes);
+        }
+        if caller_waits || !matches!(c.outcome, Outcome::Served) {
+            self.charge_queue_wait(c.qwait);
+            self.charge_io(c.held);
+        }
+        match &c.outcome {
+            Outcome::Served => {
+                if c.write {
+                    self.usage.device_writes += 1;
+                } else {
+                    self.usage.device_reads += 1;
+                }
+                self.trace_device(c);
+            }
+            Outcome::Faulted { attempt, .. } => {
+                let now = self.clock.now();
+                self.tracer
+                    .fault_inject(now, class, u64::from(*attempt), c.held.as_nanos());
+            }
+            Outcome::Cancelled => {
+                self.usage.hedges += 1;
+                self.usage.hedge_wait = self.usage.hedge_wait.saturating_add(c.held);
+            }
+        }
+    }
+
     /// The device a mount allocates from.
     pub fn device_of_mount(&self, m: MountId) -> Option<DeviceId> {
         self.mounts.get(m.0).map(|mt| mt.dev)
-    }
-
-    /// The root directory inode of a mount.
-    pub fn root_of_mount(&self, m: MountId) -> Option<Ino> {
-        self.mounts.get(m.0).map(|mt| mt.root)
     }
 
     /// The tape device of an HSM mount.
@@ -1229,24 +1283,18 @@ impl Kernel {
     /// however many ops it carries.
     fn charge_crossing(&mut self) {
         self.usage.syscall_crossings += 1;
-        let d = self.cfg.syscall_cpu;
-        self.clock.advance(d);
-        self.usage.cpu += d;
+        self.charge_cpu(self.cfg.syscall_cpu);
     }
 
     /// One serviced ring operation: a logical syscall charged at the
     /// in-kernel dispatch cost instead of the trap cost.
     fn charge_ring_op(&mut self) {
         self.usage.syscalls += 1;
-        let d = self.cfg.ring_op_cpu;
-        self.clock.advance(d);
-        self.usage.cpu += d;
+        self.charge_cpu(self.cfg.ring_op_cpu);
     }
 
     fn charge_memcpy(&mut self, bytes: u64) {
-        let d = self.cfg.mem_latency + self.cfg.mem_bandwidth.transfer_time(bytes);
-        self.clock.advance(d);
-        self.usage.cpu += d;
+        self.charge_cpu(self.cfg.mem_latency + self.cfg.mem_bandwidth.transfer_time(bytes));
     }
 
     fn charge_io(&mut self, d: SimDuration) {
@@ -1295,7 +1343,6 @@ impl Kernel {
         let id = MountId(self.mounts.len());
         self.mounts.push(Mount {
             dev,
-            root: dir,
             // Leave the first megabyte for "metadata", like a real fs.
             next_sector: 2048,
             read_only,
@@ -1438,6 +1485,7 @@ impl Kernel {
         gap_pages: u64,
         seed: u64,
     ) {
+        self.rec_unsupported("set_fragmentation");
         if let Some(m) = self.mounts.get_mut(mount.0) {
             m.frag = Some(FragConfig {
                 chunk_pages: chunk_pages.max(1),
@@ -1533,10 +1581,29 @@ impl Kernel {
         Ok((cur, name))
     }
 
-    fn alloc_ino(&mut self) -> Ino {
-        let i = Ino(self.next_ino);
+    /// Creates a new inode holding `body`, stamped now, and links it into
+    /// directory `parent` as `name`.
+    fn link_new(
+        &mut self,
+        parent: Ino,
+        name: &str,
+        mount: Option<MountId>,
+        body: InodeBody,
+    ) -> SimResult<Ino> {
+        let ino = Ino(self.next_ino);
         self.next_ino += 1;
-        i
+        let mtime = self.clock.now();
+        self.inodes.insert(
+            ino,
+            Inode {
+                ino,
+                mount,
+                body,
+                mtime,
+            },
+        );
+        self.dir_of_mut(parent)?.insert(name.to_string(), ino);
+        Ok(ino)
     }
 
     // ------------------------------------------------------------------
@@ -1545,90 +1612,49 @@ impl Kernel {
 
     /// Creates a directory.
     pub fn mkdir(&mut self, path: &str) -> SimResult<()> {
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Mkdir {
-                path: path.to_string(),
-            });
-        }
-        let r = self.mkdir_impl(path);
-        self.rec_finish(match &r {
-            Ok(()) => Ok((0, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn mkdir_impl(&mut self, path: &str) -> SimResult<()> {
-        self.charge_syscall();
-        let (parent, name) = self.resolve_parent(path)?;
-        let mount = self.inode(parent)?.mount;
-        let parent_dir = self
-            .inode(parent)?
-            .as_dir()
-            .ok_or_else(|| SimError::new(Errno::Enotdir, format!("mkdir({path})")))?;
-        if parent_dir.contains_key(name) {
-            return Err(SimError::new(Errno::Eexist, format!("mkdir({path})")));
-        }
-        let ino = self.alloc_ino();
-        let now = self.clock.now();
-        self.inodes.insert(
-            ino,
-            Inode {
-                ino,
-                mount,
-                body: InodeBody::Dir(Default::default()),
-                mtime: now,
-            },
-        );
-        let name = name.to_string();
-        self.dir_of_mut(parent)?.insert(name, ino);
-        Ok(())
+        let call = || CapturedCall::Mkdir {
+            path: path.to_string(),
+        };
+        self.syscall(Entry::Plain, Rec::Call(&call, |_| (0, None)), |k| {
+            let (parent, name) = k.resolve_parent(path)?;
+            let mount = k.inode(parent)?.mount;
+            let parent_dir = k
+                .inode(parent)?
+                .as_dir()
+                .ok_or_else(|| SimError::new(Errno::Enotdir, format!("mkdir({path})")))?;
+            if parent_dir.contains_key(name) {
+                return Err(SimError::new(Errno::Eexist, format!("mkdir({path})")));
+            }
+            k.link_new(parent, name, mount, InodeBody::Dir(Default::default()))
+                .map(|_| ())
+        })
     }
 
     /// Lists a directory's entries in name order.
     pub fn readdir(&mut self, path: &str) -> SimResult<Vec<String>> {
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Readdir {
-                path: path.to_string(),
-            });
-        }
-        let r = self.readdir_impl(path);
-        self.rec_finish(match &r {
-            Ok(names) => Ok((names.len() as u64, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn readdir_impl(&mut self, path: &str) -> SimResult<Vec<String>> {
-        self.charge_syscall();
-        let ino = self.resolve(path)?;
-        let node = self.inode(ino)?;
-        let dir = node
-            .as_dir()
-            .ok_or_else(|| SimError::new(Errno::Enotdir, format!("readdir({path})")))?;
-        Ok(dir.keys().cloned().collect())
+        let call = || CapturedCall::Readdir {
+            path: path.to_string(),
+        };
+        let ret = |names: &Vec<String>| (names.len() as u64, None);
+        self.syscall(Entry::Plain, Rec::Call(&call, ret), |k| {
+            let ino = k.resolve(path)?;
+            let node = k.inode(ino)?;
+            let dir = node
+                .as_dir()
+                .ok_or_else(|| SimError::new(Errno::Enotdir, format!("readdir({path})")))?;
+            Ok(dir.keys().cloned().collect())
+        })
     }
 
     /// Returns metadata for a path.
     pub fn stat(&mut self, path: &str) -> SimResult<Stat> {
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Stat {
-                path: path.to_string(),
-            });
-        }
-        let r = self.stat_impl(path);
-        self.rec_finish(match &r {
-            Ok(st) => Ok((st.size, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn stat_impl(&mut self, path: &str) -> SimResult<Stat> {
-        self.charge_syscall();
-        let ino = self.resolve(path)?;
-        self.stat_ino(ino)
+        let call = || CapturedCall::Stat {
+            path: path.to_string(),
+        };
+        self.syscall(Entry::Plain, Rec::Call(&call, |st| (st.size, None)), |k| {
+            let ino = k.resolve(path)?;
+            k.stat_ino(ino)
+        })
     }
 
     fn stat_ino(&self, ino: Ino) -> SimResult<Stat> {
@@ -1645,55 +1671,37 @@ impl Kernel {
 
     /// Returns metadata for an open file.
     pub fn fstat(&mut self, fd: Fd) -> SimResult<Stat> {
-        self.rec_begin(CapturedCall::Fstat { fd: fd.0 });
-        let r = self.fstat_impl(fd);
-        self.rec_finish(match &r {
-            Ok(st) => Ok((st.size, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn fstat_impl(&mut self, fd: Fd) -> SimResult<Stat> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        self.stat_ino(of.ino)
+        let call = || CapturedCall::Fstat { fd: fd.0 };
+        self.syscall(Entry::Plain, Rec::Call(&call, |st| (st.size, None)), |k| {
+            let of = k.openfile(fd)?;
+            k.stat_ino(of.ino)
+        })
     }
 
     /// Removes a file, dropping its cached pages.
     pub fn unlink(&mut self, path: &str) -> SimResult<()> {
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Unlink {
-                path: path.to_string(),
-            });
-        }
-        let r = self.unlink_impl(path);
-        self.rec_finish(match &r {
-            Ok(()) => Ok((0, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn unlink_impl(&mut self, path: &str) -> SimResult<()> {
-        self.charge_syscall();
-        let (parent, name) = self.resolve_parent(path)?;
-        let ino = {
-            let dir = self
-                .inode(parent)?
-                .as_dir()
-                .ok_or_else(|| SimError::new(Errno::Enotdir, format!("unlink({path})")))?;
-            *dir.get(name)
-                .ok_or_else(|| SimError::new(Errno::Enoent, format!("unlink({path})")))?
+        let call = || CapturedCall::Unlink {
+            path: path.to_string(),
         };
-        if self.inode(ino)?.kind() == FileKind::Dir {
-            return Err(SimError::new(Errno::Eisdir, format!("unlink({path})")));
-        }
-        let name = name.to_string();
-        self.dir_of_mut(parent)?.remove(&name);
-        self.inodes.remove(&ino);
-        self.cache.remove_file(ino.0);
-        Ok(())
+        self.syscall(Entry::Plain, Rec::Call(&call, |_| (0, None)), |k| {
+            let (parent, name) = k.resolve_parent(path)?;
+            let ino = {
+                let dir = k
+                    .inode(parent)?
+                    .as_dir()
+                    .ok_or_else(|| SimError::new(Errno::Enotdir, format!("unlink({path})")))?;
+                *dir.get(name)
+                    .ok_or_else(|| SimError::new(Errno::Enoent, format!("unlink({path})")))?
+            };
+            if k.inode(ino)?.kind() == FileKind::Dir {
+                return Err(SimError::new(Errno::Eisdir, format!("unlink({path})")));
+            }
+            let name = name.to_string();
+            k.dir_of_mut(parent)?.remove(&name);
+            k.inodes.remove(&ino);
+            k.cache.remove_file(ino.0);
+            Ok(())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1709,27 +1717,15 @@ impl Kernel {
 
     /// Opens (and possibly creates) a file.
     pub fn open(&mut self, path: &str, flags: OpenFlags) -> SimResult<Fd> {
-        let t0 = self.clock.now();
-        self.tracer.begin(Layer::Syscall, "open", t0, [0; 3]);
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Open {
-                path: path.to_string(),
-                flags,
-            });
-        }
-        let r = self.open_impl(path, flags);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(fd) => Ok((fd.0, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn open_impl(&mut self, path: &str, flags: OpenFlags) -> SimResult<Fd> {
-        self.charge_syscall();
-        self.do_open(path, flags)
+        let call = || CapturedCall::Open {
+            path: path.to_string(),
+            flags,
+        };
+        self.syscall(
+            Entry::Span("open", [0; 3]),
+            Rec::Call(&call, |fd| (fd.0, None)),
+            |k| k.do_open(path, flags),
+        )
     }
 
     /// Open minus the syscall charge: shared by `open` and the ring path.
@@ -1760,23 +1756,8 @@ impl Kernel {
                 if self.mounts[mount.0].read_only {
                     return Err(SimError::new(Errno::Erofs, format!("open({path})")));
                 }
-                let ino = self.alloc_ino();
-                let now = self.clock.now();
-                self.inodes.insert(
-                    ino,
-                    Inode {
-                        ino,
-                        mount: Some(mount),
-                        body: InodeBody::File(FileNode::default()),
-                        mtime: now,
-                    },
-                );
-                let name = name.to_string();
-                self.inode_mut(parent)?
-                    .as_dir_mut()
-                    .ok_or_else(|| SimError::new(Errno::Enotdir, format!("open({path})")))?
-                    .insert(name, ino);
-                ino
+                let body = InodeBody::File(FileNode::default());
+                self.link_new(parent, name, Some(mount), body)?
             }
             Err(e) => return Err(e),
         };
@@ -1801,24 +1782,15 @@ impl Kernel {
 
     /// Closes a file descriptor.
     pub fn close(&mut self, fd: Fd) -> SimResult<()> {
-        let t0 = self.clock.now();
-        self.tracer.begin(Layer::Syscall, "close", t0, [fd.0, 0, 0]);
-        self.rec_begin(CapturedCall::Close { fd: fd.0 });
-        self.charge_syscall();
-        let r = self.do_close(fd);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(()) => Ok((0, None)),
-            Err(e) => Err(e),
-        });
-        r
+        self.syscall(
+            Entry::Span("close", [fd.0, 0, 0]),
+            Rec::Call(&|| CapturedCall::Close { fd: fd.0 }, |_| (0, None)),
+            |k| k.do_close(fd),
+        )
     }
 
-    /// Close minus the syscall charge: shared by `close` and the ring
-    /// path. Drops any installed pick program with the descriptor.
+    /// Close minus the syscall charge: shared by `close` and the ring path.
     fn do_close(&mut self, fd: Fd) -> SimResult<()> {
-        self.fd_progs.remove(&fd.0);
         self.fds
             .remove(&fd.0)
             .map(|_| ())
@@ -1827,10 +1799,7 @@ impl Kernel {
 
     /// Repositions a file offset.
     pub fn lseek(&mut self, fd: Fd, offset: i64, whence: Whence) -> SimResult<u64> {
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "lseek", t0, [fd.0, offset as u64, 0]);
-        self.rec_begin(CapturedCall::Lseek {
+        let call = || CapturedCall::Lseek {
             fd: fd.0,
             offset,
             whence: match whence {
@@ -1838,33 +1807,28 @@ impl Kernel {
                 Whence::Cur => crate::capture::WHENCE_CUR,
                 Whence::End => crate::capture::WHENCE_END,
             },
-        });
-        let r = self.lseek_impl(fd, offset, whence);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(n) => Ok((*n, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn lseek_impl(&mut self, fd: Fd, offset: i64, whence: Whence) -> SimResult<u64> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let size = self.inode(of.ino)?.as_file().map(|f| f.size).unwrap_or(0);
-        let base = match whence {
-            Whence::Set => 0i64,
-            Whence::Cur => of.pos as i64,
-            Whence::End => size as i64,
         };
-        let new = base
-            .checked_add(offset)
-            .filter(|&n| n >= 0)
-            .ok_or_else(|| SimError::new(Errno::Einval, format!("lseek({}, {offset})", fd.0)))?
-            as u64;
-        self.openfile_mut(fd)?.pos = new;
-        Ok(new)
+        self.syscall(
+            Entry::Span("lseek", [fd.0, offset as u64, 0]),
+            Rec::Call(&call, |n| (*n, None)),
+            |k| {
+                let of = k.openfile(fd)?;
+                let size = k.inode(of.ino)?.as_file().map(|f| f.size).unwrap_or(0);
+                let base = match whence {
+                    Whence::Set => 0i64,
+                    Whence::Cur => of.pos as i64,
+                    Whence::End => size as i64,
+                };
+                let new = base
+                    .checked_add(offset)
+                    .filter(|&n| n >= 0)
+                    .ok_or_else(|| {
+                        SimError::new(Errno::Einval, format!("lseek({}, {offset})", fd.0))
+                    })? as u64;
+                k.openfile_mut(fd)?.pos = new;
+                Ok(new)
+            },
+        )
     }
 
     /// Reads up to `len` bytes at the current offset.
@@ -1872,51 +1836,29 @@ impl Kernel {
     /// Returns the bytes actually read (shorter at end of file, empty at or
     /// past it), advancing the offset.
     pub fn read(&mut self, fd: Fd, len: usize) -> SimResult<Vec<u8>> {
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "read", t0, [fd.0, len as u64, 0]);
-        self.rec_begin(CapturedCall::Read {
+        let call = || CapturedCall::Read {
             fd: fd.0,
             len: len as u64,
-        });
-        let r = self.read_impl(fd, len);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(data) => Ok((data.len() as u64, Some(&data[..]))),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn read_impl(&mut self, fd: Fd, len: usize) -> SimResult<Vec<u8>> {
-        self.charge_syscall();
-        self.do_read_fd(fd, None, len)
+        };
+        self.syscall(
+            Entry::Span("read", [fd.0, len as u64, 0]),
+            Rec::Call(&call, |data| (data.len() as u64, Some(&data[..]))),
+            |k| k.do_read_fd(fd, None, len),
+        )
     }
 
     /// Positioned read: `pread(2)`. Does not move the file offset.
     pub fn pread(&mut self, fd: Fd, pos: u64, len: usize) -> SimResult<Vec<u8>> {
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "pread", t0, [fd.0, len as u64, pos]);
-        self.rec_begin(CapturedCall::Pread {
+        let call = || CapturedCall::Pread {
             fd: fd.0,
             pos,
             len: len as u64,
-        });
-        let r = self.pread_impl(fd, pos, len);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(data) => Ok((data.len() as u64, Some(&data[..]))),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn pread_impl(&mut self, fd: Fd, pos: u64, len: usize) -> SimResult<Vec<u8>> {
-        self.charge_syscall();
-        self.do_read_fd(fd, Some(pos), len)
+        };
+        self.syscall(
+            Entry::Span("pread", [fd.0, len as u64, pos]),
+            Rec::Call(&call, |data| (data.len() as u64, Some(&data[..]))),
+            |k| k.do_read_fd(fd, Some(pos), len),
+        )
     }
 
     /// The single fd-level read path `read`, `pread` and the ring's
@@ -1944,66 +1886,45 @@ impl Kernel {
     /// Writes `buf` at the current offset (or the end with `O_APPEND`),
     /// extending the file as needed. Returns bytes written.
     pub fn write(&mut self, fd: Fd, buf: &[u8]) -> SimResult<usize> {
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "write", t0, [fd.0, buf.len() as u64, 0]);
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Write {
-                fd: fd.0,
-                data: buf.to_vec(),
-            });
-        }
-        let r = self.write_impl(fd, buf);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(n) => Ok((*n as u64, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn write_impl(&mut self, fd: Fd, buf: &[u8]) -> SimResult<usize> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        if !of.flags.write {
-            return Err(SimError::new(Errno::Ebadf, "write on read-only fd"));
-        }
-        let pos = if of.flags.append {
-            self.inode(of.ino)?.as_file().map(|f| f.size).unwrap_or(0)
-        } else {
-            of.pos
+        let call = || CapturedCall::Write {
+            fd: fd.0,
+            data: buf.to_vec(),
         };
-        self.do_write(of.ino, pos, buf)?;
-        self.openfile_mut(fd)?.pos = pos + buf.len() as u64;
-        self.usage.bytes_written += buf.len() as u64;
-        Ok(buf.len())
+        self.syscall(
+            Entry::Span("write", [fd.0, buf.len() as u64, 0]),
+            Rec::Call(&call, |n| (*n as u64, None)),
+            |k| {
+                let of = k.openfile(fd)?;
+                if !of.flags.write {
+                    return Err(SimError::new(Errno::Ebadf, "write on read-only fd"));
+                }
+                let pos = if of.flags.append {
+                    k.inode(of.ino)?.as_file().map(|f| f.size).unwrap_or(0)
+                } else {
+                    of.pos
+                };
+                k.do_write(of.ino, pos, buf)?;
+                k.openfile_mut(fd)?.pos = pos + buf.len() as u64;
+                k.usage.bytes_written += buf.len() as u64;
+                Ok(buf.len())
+            },
+        )
     }
 
     /// Flushes an open file's dirty pages to its device.
     pub fn fsync(&mut self, fd: Fd) -> SimResult<()> {
-        let t0 = self.clock.now();
-        self.tracer.begin(Layer::Syscall, "fsync", t0, [fd.0, 0, 0]);
-        self.rec_begin(CapturedCall::Fsync { fd: fd.0 });
-        let r = self.fsync_impl(fd);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(()) => Ok((0, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn fsync_impl(&mut self, fd: Fd) -> SimResult<()> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let dirty = self.cache.dirty_pages_of(of.ino.0);
-        for key in dirty {
-            self.writeback(key)?;
-            self.cache.mark_clean(key);
-        }
-        Ok(())
+        self.syscall(
+            Entry::Span("fsync", [fd.0, 0, 0]),
+            Rec::Call(&|| CapturedCall::Fsync { fd: fd.0 }, |_| (0, None)),
+            |k| {
+                let of = k.openfile(fd)?;
+                for key in k.cache.dirty_pages_of(of.ino.0) {
+                    k.writeback(key)?;
+                    k.cache.mark_clean(key);
+                }
+                Ok(())
+            },
+        )
     }
 
     /// Drops the entire page cache, writing dirty pages back first. Used by
@@ -2026,13 +1947,11 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     fn do_read(&mut self, ino: Ino, pos: u64, len: usize) -> SimResult<Vec<u8>> {
-        let (size, _) = {
-            let node = self.inode(ino)?;
-            let f = node
-                .as_file()
-                .ok_or_else(|| SimError::new(Errno::Eisdir, "read on directory"))?;
-            (f.size, ())
-        };
+        let size = self
+            .inode(ino)?
+            .as_file()
+            .ok_or_else(|| SimError::new(Errno::Eisdir, "read on directory"))?
+            .size;
         if pos >= size || len == 0 {
             return Ok(Vec::new());
         }
@@ -2339,9 +2258,8 @@ impl Kernel {
             }
         }
         let winner = contenders[winner_at];
-        let tenant = self.active_tenant as u64;
         let winner_class = class_code(self.devices[winner.1 .0].class());
-        for (i, &(_, dev, _)) in contenders.iter().enumerate() {
+        for (i, &(_, dev, sector)) in contenders.iter().enumerate() {
             if i == winner_at {
                 continue;
             }
@@ -2349,17 +2267,22 @@ impl Kernel {
             // cancel cost, the caller pays that cost as explicit hedge
             // overhead, and attribution stays exact (the cancel is an
             // ordinary zero-byte occupancy row).
-            let t_hedge = self.clock.now();
-            let loser_class = class_code(self.devices[dev.0].class());
-            self.queues[dev.0].note_cancel(tenant, t_hedge, policy.cancel_cost);
+            let cancel = DeviceCompletion {
+                dev,
+                write: false,
+                at: self.clock.now(),
+                qwait: SimDuration::ZERO,
+                held: policy.cancel_cost,
+                sector,
+                sectors,
+                outcome: Outcome::Cancelled,
+            };
+            self.fold_completion(&cancel, true);
             if let Some(rec) = self.recorder.as_mut() {
                 rec.note_hedge();
-                rec.note_device(loser_class, 0, policy.cancel_cost.as_nanos(), 0);
             }
-            self.charge_io(policy.cancel_cost);
-            self.usage.hedges += 1;
-            self.usage.hedge_wait = self.usage.hedge_wait.saturating_add(policy.cancel_cost);
             let t_mark = self.clock.now();
+            let loser_class = class_code(self.devices[dev.0].class());
             self.tracer.io_hedge(
                 t_mark,
                 winner_class,
@@ -2408,13 +2331,15 @@ impl Kernel {
         let frag_sectors = (pages * SECTORS_PER_PAGE).div_ceil(k as u64);
         let frag_bytes = frag_sectors * SECTOR_SIZE;
         let cands = self.replica_candidates(ino, primary, first_page)?;
-        let tenant = self.active_tenant as u64;
         let mut excluded: Vec<usize> = Vec::new();
         // Completed fragments survive re-picks: (member, completion, qwait).
         let mut done: Vec<(usize, SimTime, SimDuration)> = Vec::new();
         // Bounded: every pass either finishes the k fragments or excludes
-        // one more member, and members are finite.
-        while done.len() < k {
+        // one more member, so one pass per member plus the last suffices.
+        for _ in 0..=cands.len() {
+            if done.len() == k {
+                break;
+            }
             let now = self.clock.now();
             let mut avail: Vec<(usize, DeviceId, u64)> = cands
                 .iter()
@@ -2441,57 +2366,17 @@ impl Kernel {
             });
             let need = k - done.len();
             for &(m, dev, sector) in avail.iter().take(need) {
-                let class = class_code(self.devices[dev.0].class());
-                let qwait = self.queues[dev.0].queue_wait(now);
-                let start = now + qwait;
-                match self.devices[dev.0].read(sector, frag_sectors, start) {
-                    Ok(t) => {
-                        self.queues[dev.0].note_command(
-                            tenant,
-                            now,
-                            qwait,
-                            t,
-                            frag_sectors * SECTOR_SIZE,
-                        );
-                        if let Some(rec) = self.recorder.as_mut() {
-                            rec.note_device(
-                                class,
-                                qwait.as_nanos(),
-                                t.as_nanos(),
-                                frag_sectors * SECTOR_SIZE,
-                            );
-                        }
-                        self.trace_device(dev, false, now, qwait, t, sector, frag_sectors);
-                        self.usage.device_reads += 1;
-                        done.push((m, start + t, qwait));
-                    }
-                    Err(err) => {
-                        let cost = match self.devices[dev.0].last_phases() {
-                            [p] if p.kind == PhaseKind::Fault
-                                && err.context.ends_with("injected fault") =>
-                            {
-                                p.dur
-                            }
-                            _ => SimDuration::ZERO,
-                        };
-                        if cost.is_zero() {
-                            return Err(err);
-                        }
-                        // The faulted fragment still occupied its queue;
-                        // the caller pays serially, then the member is
-                        // excluded and the pick repeated.
-                        self.queues[dev.0].note_command(tenant, now, qwait, cost, 0);
-                        if let Some(rec) = self.recorder.as_mut() {
-                            rec.note_device(class, qwait.as_nanos(), cost.as_nanos(), 0);
-                        }
-                        self.charge_queue_wait(qwait);
-                        self.charge_io(cost);
-                        let t_fail = self.clock.now();
-                        self.tracer.fault_inject(t_fail, class, 1, cost.as_nanos());
-                        excluded.push(m);
-                        break;
-                    }
+                // Fragments run concurrently, so a served one is not
+                // charged here. A faulted one still occupied its queue and
+                // the caller pays it serially; then its member is
+                // excluded and the pick repeated.
+                let c = self.issue(dev, sector, frag_sectors, false, 1)?;
+                self.fold_completion(&c, false);
+                if let Outcome::Faulted { .. } = c.outcome {
+                    excluded.push(m);
+                    break;
                 }
+                done.push((m, c.at + c.qwait + c.held, c.qwait));
             }
         }
         // Charge to the straggler: the fan-out completes when its slowest
@@ -2560,18 +2445,7 @@ impl Kernel {
             }
             // Grow every replica in lockstep so mirrored and coded files
             // stay fully covered on all members.
-            let members = match self.mounts[mount.0].volume.as_ref() {
-                Some(v)
-                    if matches!(
-                        v.layout,
-                        VolumeLayout::Mirrored | VolumeLayout::Coded { .. }
-                    ) =>
-                {
-                    v.devices.len()
-                }
-                _ => 0,
-            };
-            for member in 1..members {
+            for member in 1..self.replica_members(mount) {
                 let (dev, first) = self.allocate_member(mount, member, added)?;
                 let f = self.file_of_mut(ino)?;
                 while f.replicas.len() < member {
@@ -2636,21 +2510,20 @@ impl Kernel {
             // check below as "device full" instead of wrapping.
             m.next_sector = m.next_sector.saturating_add(gap * SECTORS_PER_PAGE);
         }
-        let first = m.next_sector;
-        let cap = self.devices[m.dev.0].capacity_sectors();
-        let end = pages
+        let (dev, first) = (m.dev, m.next_sector);
+        self.mounts[mount.0].next_sector = self.extent_end(dev, first, pages)?;
+        Ok(first)
+    }
+
+    /// End sector of `pages` pages placed from sector `first` of `dev`;
+    /// `ENOSPC` when they do not fit on the device.
+    fn extent_end(&self, dev: DeviceId, first: u64, pages: u64) -> SimResult<u64> {
+        let d = &self.devices[dev.0];
+        pages
             .checked_mul(SECTORS_PER_PAGE)
             .and_then(|needed| first.checked_add(needed))
-            .filter(|&end| end <= cap)
-            .ok_or_else(|| {
-                SimError::new(
-                    Errno::Enospc,
-                    format!("device {} full", self.devices[m.dev.0].name()),
-                )
-            })?;
-        let m = &mut self.mounts[mount.0];
-        m.next_sector = end;
-        Ok(first)
+            .filter(|&end| end <= d.capacity_sectors())
+            .ok_or_else(|| SimError::new(Errno::Enospc, format!("device {} full", d.name())))
     }
 
     fn cache_insert(&mut self, key: PageKey, dirty: bool) -> SimResult<()> {
@@ -2667,42 +2540,25 @@ impl Kernel {
 
     fn writeback(&mut self, key: PageKey) -> SimResult<()> {
         // The inode may already be gone (unlink with dirty pages).
-        let (place, extras, frag_sectors, needed) = {
-            let node = match self.inodes.get(&Ino(key.inode)) {
-                Some(n) => n,
-                None => return Ok(()),
-            };
-            let f = match node.as_file() {
-                Some(f) => f,
-                None => return Ok(()),
-            };
-            let place = match f.pages.place_of(key.index) {
-                Some(p) => p,
-                None => return Ok(()),
-            };
-            let layout = node
-                .mount
-                .and_then(|m| self.mounts.get(m.0))
-                .and_then(|m| m.volume.as_ref())
-                .map(|v| v.layout);
-            match layout {
-                Some(VolumeLayout::Mirrored) | Some(VolumeLayout::Coded { .. }) => {
-                    let extras: Vec<PagePlace> = f
-                        .replicas
-                        .iter()
-                        .filter_map(|map| map.place_of(key.index))
-                        .collect();
-                    let (frag, needed) = match layout {
-                        Some(VolumeLayout::Coded { k }) => {
-                            let k = u64::from(k.max(1));
-                            (SECTORS_PER_PAGE.div_ceil(k), k as usize)
-                        }
-                        _ => (SECTORS_PER_PAGE, 1),
-                    };
-                    (place, extras, frag, needed)
-                }
-                _ => (place, Vec::new(), SECTORS_PER_PAGE, 1),
+        let ino = Ino(key.inode);
+        let Some(f) = self.inodes.get(&ino).and_then(|node| node.as_file()) else {
+            return Ok(());
+        };
+        let Some(place) = f.pages.place_of(key.index) else {
+            return Ok(());
+        };
+        // Only mirrored and coded files carry replica maps.
+        let extras: Vec<PagePlace> = f
+            .replicas
+            .iter()
+            .filter_map(|map| map.place_of(key.index))
+            .collect();
+        let (frag_sectors, needed) = match self.volume_of(ino) {
+            Some(VolumeLayout::Coded { k }) => {
+                let k = u64::from(k.max(1));
+                (SECTORS_PER_PAGE.div_ceil(k), k as usize)
             }
+            _ => (SECTORS_PER_PAGE, 1),
         };
         let now = self.clock.now();
         self.tracer.cache_writeback(now, key.index, key.inode);
@@ -2741,9 +2597,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     fn charge_page_walk(&mut self, extents: u64, pages: u64) {
-        let walk = self.cfg.page_walk_cost(extents, pages);
-        self.clock.advance(walk);
-        self.usage.cpu += walk;
+        self.charge_cpu(self.cfg.page_walk_cost(extents, pages));
     }
 
     /// The residency walk itself: merges the cache's resident extents with
@@ -2792,23 +2646,17 @@ impl Kernel {
     /// extent of this open file live right now? Cost is one probe per
     /// extent plus a per-page floor — O(runs), not O(pages).
     pub fn page_extents(&mut self, fd: Fd) -> SimResult<Vec<PageExtent>> {
-        self.rec_unsupported("ioctl.page_extents");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_get", t0, [fd.0, 0, 0]);
-        let r = self.page_extents_impl(fd);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
-    }
-
-    fn page_extents_impl(&mut self, fd: Fd) -> SimResult<Vec<PageExtent>> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let out = self.page_extents_of(of.ino)?;
-        let pages = out.last().map(|e| e.end_page()).unwrap_or(0);
-        self.charge_page_walk(out.len() as u64, pages);
-        Ok(out)
+        self.syscall(
+            Entry::Span("ioctl.fsleds_get", [fd.0, 0, 0]),
+            Rec::Poison("ioctl.page_extents"),
+            |k| {
+                let of = k.openfile(fd)?;
+                let out = k.page_extents_of(of.ino)?;
+                let pages = out.last().map(|e| e.end_page()).unwrap_or(0);
+                k.charge_page_walk(out.len() as u64, pages);
+                Ok(out)
+            },
+        )
     }
 
     /// The redundancy-aware half of `FSLEDS_GET`: every extent of the open
@@ -2821,61 +2669,44 @@ impl Kernel {
     pub fn redundant_extents(&mut self, fd: Fd) -> SimResult<Vec<RedundantExtent>> {
         // Same capture kind as the plain extents walk: both are the
         // FSLEDS_GET ioctl, so the unrecordable set does not grow.
-        self.rec_unsupported("ioctl.page_extents");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_get", t0, [fd.0, 1, 0]);
-        let r = self.redundant_extents_impl(fd);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
-    }
-
-    fn redundant_extents_impl(&mut self, fd: Fd) -> SimResult<Vec<RedundantExtent>> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let ino = of.ino;
-        let base = self.page_extents_of(ino)?;
-        let coded_k = self.volume_of(ino).and_then(|l| l.coded_k());
-        let (out, probes, pages) = {
-            let f = self.file_of(ino)?;
-            let mut probes = 0u64;
-            let pages = base.last().map(|e| e.end_page()).unwrap_or(0);
-            let out: Vec<RedundantExtent> = base
-                .into_iter()
-                .map(|extent| {
-                    // Memory extents need no alternative: they are already
-                    // the cheapest possible source.
-                    let alternatives: Vec<ReplicaPlace> =
-                        if matches!(extent.location, PageLocation::Device { .. }) {
-                            f.replicas
+        self.syscall(
+            Entry::Span("ioctl.fsleds_get", [fd.0, 1, 0]),
+            Rec::Poison("ioctl.page_extents"),
+            |k| {
+                let ino = k.openfile(fd)?.ino;
+                let base = k.page_extents_of(ino)?;
+                let pages = base.last().map(|e| e.end_page()).unwrap_or(0);
+                let coded_k = k.volume_of(ino).and_then(|l| l.coded_k());
+                let f = k.file_of(ino)?;
+                let out: Vec<RedundantExtent> = base
+                    .into_iter()
+                    .map(|extent| {
+                        // Memory extents need no alternative: they are
+                        // already the cheapest possible source.
+                        let alternatives: Vec<ReplicaPlace> = match extent.location {
+                            PageLocation::Memory => Vec::new(),
+                            PageLocation::Device { .. } => f
+                                .replicas
                                 .iter()
                                 .filter_map(|map| map.place_of(extent.first_page))
                                 .map(|p| ReplicaPlace {
                                     dev: p.dev,
                                     sector: p.sector,
                                 })
-                                .collect()
-                        } else {
-                            Vec::new()
+                                .collect(),
                         };
-                    probes += alternatives.len() as u64;
-                    let coded_k = if alternatives.is_empty() {
-                        None
-                    } else {
-                        coded_k
-                    };
-                    RedundantExtent {
-                        extent,
-                        alternatives,
-                        coded_k,
-                    }
-                })
-                .collect();
-            (out, probes, pages)
-        };
-        self.charge_page_walk(out.len() as u64 + probes, pages);
-        Ok(out)
+                        RedundantExtent {
+                            extent,
+                            coded_k: coded_k.filter(|_| !alternatives.is_empty()),
+                            alternatives,
+                        }
+                    })
+                    .collect();
+                let probes: usize = out.iter().map(|e| e.alternatives.len()).sum();
+                k.charge_page_walk((out.len() + probes) as u64, pages);
+                Ok(out)
+            },
+        )
     }
 
     // ------------------------------------------------------------------
@@ -2903,43 +2734,40 @@ impl Kernel {
         // timeline, whoever drives the enter — asynchronous submission:
         // the driver's own clock does not advance for the batch.
         let prev = self.active_tenant();
-        let owner = ring.tenant();
-        self.tenant_switch(owner)?;
-        let t0 = self.clock.now();
+        self.tenant_switch(ring.tenant())?;
         let submitted = ring.sq_len() as u64;
-        self.tracer
-            .begin(Layer::Syscall, "ring.enter", t0, [submitted, 0, 0]);
-        self.rec_begin(CapturedCall::RingEnter {
-            capacity: ring.capacity() as u64,
+        let capacity = ring.capacity() as u64;
+        let call = || CapturedCall::RingEnter {
+            capacity,
             ops: Vec::new(),
-        });
-        self.charge_crossing();
-        self.ring_enters += 1;
-        let mut serviced = 0usize;
-        while ring.cq_has_room() {
-            let Some((user_data, op)) = ring.pop_op() else {
-                break;
-            };
-            self.charge_ring_op();
-            self.ring_ops += 1;
-            if self.capture_active() {
-                match ring_capture_call(&op) {
-                    Ok(call) => {
-                        if let Some(rec) = self.recorder.as_mut() {
-                            rec.ring_op(user_data, call);
+        };
+        let serviced = self.syscall(
+            Entry::Ring(submitted),
+            Rec::Call(&call, |n| (*n as u64, None)),
+            |k| {
+                k.ring_enters += 1;
+                let mut serviced = 0usize;
+                while ring.cq_has_room() {
+                    let Some((user_data, op)) = ring.pop_op() else {
+                        break;
+                    };
+                    k.charge_ring_op();
+                    k.ring_ops += 1;
+                    if let Some(rec) = k.recorder.as_mut() {
+                        match ring_capture_call(&op) {
+                            Ok(call) => rec.ring_op(user_data, call),
+                            Err(name) => rec.unsupported(name),
                         }
                     }
-                    Err(name) => self.rec_unsupported(name),
+                    let result = k.service_ring_op(op);
+                    ring.complete(RingCompletion { user_data, result });
+                    serviced += 1;
                 }
-            }
-            let result = self.service_ring_op(op);
-            ring.complete(RingCompletion { user_data, result });
-            serviced += 1;
-        }
-        let now = self.clock.now();
-        self.tracer.ring_submit(now, submitted, serviced as u64);
-        self.tracer.end(now);
-        self.rec_finish(Ok((serviced as u64, None)));
+                let now = k.clock.now();
+                k.tracer.ring_submit(now, submitted, serviced as u64);
+                Ok(serviced)
+            },
+        )?;
         self.tenant_switch(prev)?;
         Ok(serviced)
     }
@@ -3009,9 +2837,34 @@ impl Kernel {
         let extents = self.page_extents_of(ino)?;
         let pages = extents.last().map(|e| e.end_page()).unwrap_or(0);
         self.charge_page_walk(extents.len() as u64, pages);
-        fn push_sled(out: &mut Vec<ProgSled>, offset: u64, length: u64, entry: ProgEntry) {
+        let mut out: Vec<ProgSled> = Vec::new();
+        for e in &extents {
+            let entry = match e.location {
+                PageLocation::Memory => mem,
+                PageLocation::Device { dev, .. } => {
+                    let entry = pricing.device(dev).ok_or_else(|| {
+                        SimError::new(
+                            Errno::Einval,
+                            format!("FSLEDS_GET: no sleds table row for device {dev:?}"),
+                        )
+                    })?;
+                    match self.device_fault_state(dev).unwrap_or(FaultState::Healthy) {
+                        FaultState::Healthy => entry,
+                        FaultState::Degraded(m) => ProgEntry {
+                            latency: entry.latency * m,
+                            bandwidth: entry.bandwidth / m,
+                        },
+                        FaultState::Offline => ProgEntry {
+                            latency: f64::INFINITY,
+                            bandwidth: 0.0,
+                        },
+                    }
+                }
+            };
+            let offset = e.first_page * PAGE_SIZE;
+            let length = (e.pages * PAGE_SIZE).min(size - offset);
             if length == 0 {
-                return;
+                continue;
             }
             match out.last_mut() {
                 Some(last)
@@ -3026,38 +2879,6 @@ impl Kernel {
                     latency: entry.latency,
                     bandwidth: entry.bandwidth,
                 }),
-            }
-        }
-        let mut out: Vec<ProgSled> = Vec::new();
-        for e in &extents {
-            let ext_off = e.first_page * PAGE_SIZE;
-            match e.location {
-                PageLocation::Memory => {
-                    let length = (e.pages * PAGE_SIZE).min(size - ext_off);
-                    push_sled(&mut out, ext_off, length, mem);
-                }
-                PageLocation::Device { dev, .. } => {
-                    let entry = pricing.device(dev).ok_or_else(|| {
-                        SimError::new(
-                            Errno::Einval,
-                            format!("FSLEDS_GET: no sleds table row for device {dev:?}"),
-                        )
-                    })?;
-                    let state = self.device_fault_state(dev).unwrap_or(FaultState::Healthy);
-                    let entry = match state {
-                        FaultState::Healthy => entry,
-                        FaultState::Degraded(m) => ProgEntry {
-                            latency: entry.latency * m,
-                            bandwidth: entry.bandwidth / m,
-                        },
-                        FaultState::Offline => ProgEntry {
-                            latency: f64::INFINITY,
-                            bandwidth: 0.0,
-                        },
-                    };
-                    let length = (e.pages * PAGE_SIZE).min(size - ext_off);
-                    push_sled(&mut out, ext_off, length, entry);
-                }
             }
         }
         Ok(out)
@@ -3097,72 +2918,6 @@ impl Kernel {
         chunks.into_iter().map(|(o, l, _)| (o, l)).collect()
     }
 
-    /// The `FSLEDS_PROG` ioctl: installs a verified pick program on an
-    /// open descriptor. The program was verified at construction; this
-    /// re-runs nothing and simply associates it with the fd until close.
-    pub fn fsleds_prog(&mut self, fd: Fd, prog: PickProgram) -> SimResult<()> {
-        self.rec_unsupported("ioctl.fsleds_prog");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_prog", t0, [fd.0, 0, 0]);
-        self.charge_syscall();
-        let r = self.openfile(fd).map(|_| {
-            self.fd_progs.insert(fd.0, prog);
-        });
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
-    }
-
-    /// The program installed on `fd`, if any.
-    pub fn fd_prog(&self, fd: Fd) -> Option<&PickProgram> {
-        self.fd_progs.get(&fd.0)
-    }
-
-    /// Evaluates the program installed on `fd` against the file's current
-    /// SLED vector, in-kernel, in one crossing: builds the SLEDs from the
-    /// pushed pricing rows, derives the program inputs, and returns the
-    /// verdict plus the delivery-time estimate it saw.
-    pub fn fsleds_prog_eval(&mut self, fd: Fd, pricing: &ProgPricing) -> SimResult<(bool, f64)> {
-        self.rec_unsupported("ioctl.fsleds_prog_eval");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_prog_eval", t0, [fd.0, 0, 0]);
-        self.charge_syscall();
-        let r = (|| {
-            let of = self.openfile(fd)?;
-            let prog = self.fd_progs.get(&fd.0).cloned().ok_or_else(|| {
-                SimError::new(
-                    Errno::Einval,
-                    format!("FSLEDS_PROG: no program on fd {}", fd.0),
-                )
-            })?;
-            let sleds = self.kernel_sleds_of(of.ino, pricing)?;
-            let mem = pricing.memory.unwrap_or(ProgEntry {
-                latency: 0.0,
-                bandwidth: 0.0,
-            });
-            // Interpretation is charged at the certified worst-case bound,
-            // not the path actually taken: the price of running a program
-            // is fixed at admission, so accounting cannot depend on file
-            // contents.
-            self.charge_cpu(SimDuration::from_nanos(prog.cert().worst_ns));
-            let inputs = prog_inputs(&sleds, mem);
-            let matched = prog.matches(&inputs);
-            let now = self.clock.now();
-            self.tracer.prog_eval(
-                now,
-                prog.len() as u64,
-                u64::from(matched),
-                estimate_ns(inputs.delivery_time),
-            );
-            Ok((matched, inputs.delivery_time))
-        })();
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
-    }
-
     /// A program-driven directory walk (`fsleds_walk`): visits the tree
     /// under `root` depth-first in name order — the order `find` visits —
     /// pricing every regular file against the pushed rows and evaluating
@@ -3178,30 +2933,25 @@ impl Kernel {
         prog: &PickProgram,
         pricing: &ProgPricing,
     ) -> SimResult<Vec<WalkEntry>> {
-        self.rec_unsupported("set_fragmentation");
-        self.rec_unsupported("ioctl.fsleds_walk");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_walk", t0, [0; 3]);
-        self.charge_syscall();
-        let r = (|| {
-            let ino = self.resolve(root)?;
-            let mut out: Vec<(WalkEntry, f64)> = Vec::new();
-            let mut done = false;
-            self.walk_node(root, ino, prog, pricing, &mut out, &mut done)?;
-            if prog.order == ProgOrder::CachedFirst {
-                // Matched files first, most-cached first; stable, so ties
-                // and the unmatched tail keep file order.
-                let (mut hits, rest): (Vec<_>, Vec<_>) =
-                    out.into_iter().partition(|(e, _)| e.matched);
-                hits.sort_by(|a, b| b.1.total_cmp(&a.1));
-                out = hits.into_iter().chain(rest).collect();
-            }
-            Ok(out.into_iter().map(|(e, _)| e).collect())
-        })();
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
+        self.syscall(
+            Entry::Span("ioctl.fsleds_walk", [0; 3]),
+            Rec::Poison("ioctl.fsleds_walk"),
+            |k| {
+                let ino = k.resolve(root)?;
+                let mut out: Vec<(WalkEntry, f64)> = Vec::new();
+                let mut done = false;
+                k.walk_node(root, ino, prog, pricing, &mut out, &mut done)?;
+                if prog.order == ProgOrder::CachedFirst {
+                    // Matched files first, most-cached first; stable, so
+                    // ties and the unmatched tail keep file order.
+                    let (mut hits, rest): (Vec<_>, Vec<_>) =
+                        out.into_iter().partition(|(e, _)| e.matched);
+                    hits.sort_by(|a, b| b.1.total_cmp(&a.1));
+                    out = hits.into_iter().chain(rest).collect();
+                }
+                Ok(out.into_iter().map(|(e, _)| e).collect())
+            },
+        )
     }
 
     fn walk_node(
@@ -3222,8 +2972,17 @@ impl Kernel {
         // the cost certificate stamped at admission.
         let d = self.cfg.ring_op_cpu;
         self.charge_cpu(d);
+        let mut entry = WalkEntry {
+            path: path.to_string(),
+            kind: stat.kind,
+            size: stat.size,
+            estimate_secs: None,
+            matched: false,
+            error: None,
+        };
         if stat.kind == FileKind::File {
-            let (entry, cached) = match self.kernel_sleds_of(ino, pricing) {
+            let mut cached = 0.0;
+            match self.kernel_sleds_of(ino, pricing) {
                 Ok(sleds) => {
                     let mem = pricing.memory.unwrap_or(ProgEntry {
                         latency: 0.0,
@@ -3245,44 +3004,16 @@ impl Kernel {
                     if matched && prog.first_match_exit {
                         *done = true;
                     }
-                    (
-                        WalkEntry {
-                            path: path.to_string(),
-                            kind: stat.kind,
-                            size: stat.size,
-                            estimate_secs: Some(inputs.delivery_time),
-                            matched,
-                            error: None,
-                        },
-                        inputs.cached_fraction,
-                    )
+                    entry.estimate_secs = Some(inputs.delivery_time);
+                    entry.matched = matched;
+                    cached = inputs.cached_fraction;
                 }
-                Err(e) => (
-                    WalkEntry {
-                        path: path.to_string(),
-                        kind: stat.kind,
-                        size: stat.size,
-                        estimate_secs: None,
-                        matched: false,
-                        error: Some(e),
-                    },
-                    0.0,
-                ),
-            };
+                Err(e) => entry.error = Some(e),
+            }
             out.push((entry, cached));
             return Ok(());
         }
-        out.push((
-            WalkEntry {
-                path: path.to_string(),
-                kind: stat.kind,
-                size: stat.size,
-                estimate_secs: None,
-                matched: false,
-                error: None,
-            },
-            0.0,
-        ));
+        out.push((entry, 0.0));
         let names: Vec<(String, Ino)> = {
             let node = self.inode(ino)?;
             let dir = node
@@ -3308,26 +3039,27 @@ impl Kernel {
     /// per file page, produced by expanding the extent walk. Same O(runs)
     /// probe cost (the expansion is covered by the per-page floor).
     pub fn page_locations(&mut self, fd: Fd) -> SimResult<Vec<PageLocation>> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let extents = self.page_extents_of(of.ino)?;
-        let pages = extents.last().map(|e| e.end_page()).unwrap_or(0);
-        self.charge_page_walk(extents.len() as u64, pages);
-        let mut out = Vec::with_capacity(pages as usize);
-        for e in extents {
-            match e.location {
-                PageLocation::Memory => out.extend((0..e.pages).map(|_| PageLocation::Memory)),
-                PageLocation::Device { dev, sector } => {
-                    for i in 0..e.pages {
-                        out.push(PageLocation::Device {
-                            dev,
-                            sector: sector + i * SECTORS_PER_PAGE,
-                        });
+        self.syscall(Entry::Plain, Rec::Off, |k| {
+            let of = k.openfile(fd)?;
+            let extents = k.page_extents_of(of.ino)?;
+            let pages = extents.last().map(|e| e.end_page()).unwrap_or(0);
+            k.charge_page_walk(extents.len() as u64, pages);
+            let mut out = Vec::with_capacity(pages as usize);
+            for e in extents {
+                match e.location {
+                    PageLocation::Memory => out.extend((0..e.pages).map(|_| PageLocation::Memory)),
+                    PageLocation::Device { dev, sector } => {
+                        for i in 0..e.pages {
+                            out.push(PageLocation::Device {
+                                dev,
+                                sector: sector + i * SECTORS_PER_PAGE,
+                            });
+                        }
                     }
                 }
             }
-        }
-        Ok(out)
+            Ok(out)
+        })
     }
 
     /// The original per-page residency walk, retained verbatim as a
@@ -3335,31 +3067,30 @@ impl Kernel {
     /// once per page, charging the legacy per-page walk cost. Equivalence
     /// tests and the before/after microbenchmark compare against this.
     pub fn page_locations_per_page_reference(&mut self, fd: Fd) -> SimResult<Vec<PageLocation>> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let f = self
-            .inode(of.ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "FSLEDS_GET on directory"))?;
-        let n = f.page_count();
-        // The old implementation cloned the per-page map; reproduce that
-        // allocation by expanding the runs.
-        let places: Vec<PagePlace> = (0..n).filter_map(|p| f.pages.place_of(p)).collect();
-        let walk = self.cfg.page_walk_cost_per_page(n);
-        self.clock.advance(walk);
-        self.usage.cpu += walk;
-        let mut out = Vec::with_capacity(n as usize);
-        for (i, place) in places.iter().enumerate().take(n as usize) {
-            if self.cache.contains(PageKey::new(of.ino.0, i as u64)) {
-                out.push(PageLocation::Memory);
-            } else {
-                out.push(PageLocation::Device {
-                    dev: place.dev,
-                    sector: place.sector,
-                });
+        self.syscall(Entry::Plain, Rec::Off, |k| {
+            let of = k.openfile(fd)?;
+            let f = k
+                .inode(of.ino)?
+                .as_file()
+                .ok_or_else(|| SimError::new(Errno::Eisdir, "FSLEDS_GET on directory"))?;
+            let n = f.page_count();
+            // The old implementation cloned the per-page map; reproduce that
+            // allocation by expanding the runs.
+            let places: Vec<PagePlace> = (0..n).filter_map(|p| f.pages.place_of(p)).collect();
+            k.charge_cpu(k.cfg.page_walk_cost_per_page(n));
+            let mut out = Vec::with_capacity(n as usize);
+            for (i, place) in places.iter().enumerate().take(n as usize) {
+                if k.cache.contains(PageKey::new(of.ino.0, i as u64)) {
+                    out.push(PageLocation::Memory);
+                } else {
+                    out.push(PageLocation::Device {
+                        dev: place.dev,
+                        sector: place.sector,
+                    });
+                }
             }
-        }
-        Ok(out)
+            Ok(out)
+        })
     }
 
     /// A version stamp for an open file's SLED vector: changes whenever the
@@ -3369,22 +3100,23 @@ impl Kernel {
     /// and skip the walk while it holds. Charges only the syscall cost —
     /// that is the point.
     pub fn sled_generation(&mut self, fd: Fd) -> SimResult<u64> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let layout = self
-            .inode(of.ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "sled_generation on directory"))?
-            .pages
-            .generation();
-        // All four counters are monotone, so their sum is a valid version:
-        // any change to any one strictly increases it. The device fault
-        // epochs auto-invalidate cached vectors (and any lease built on
-        // this stamp) the moment the clock crosses a fault-window
-        // boundary anywhere in the stack.
-        let now = self.clock.now();
-        let fault_epoch: u64 = self.devices.iter().map(|d| d.fault_epoch(now)).sum();
-        Ok(self.cache.generation(of.ino.0) + layout + self.sleds_epoch + fault_epoch)
+        self.syscall(Entry::Plain, Rec::Off, |k| {
+            let of = k.openfile(fd)?;
+            let layout = k
+                .inode(of.ino)?
+                .as_file()
+                .ok_or_else(|| SimError::new(Errno::Eisdir, "sled_generation on directory"))?
+                .pages
+                .generation();
+            // All four counters are monotone, so their sum is a valid version:
+            // any change to any one strictly increases it. The device fault
+            // epochs auto-invalidate cached vectors (and any lease built on
+            // this stamp) the moment the clock crosses a fault-window
+            // boundary anywhere in the stack.
+            let now = k.clock.now();
+            let fault_epoch: u64 = k.devices.iter().map(|d| d.fault_epoch(now)).sum();
+            Ok(k.cache.generation(of.ino.0) + layout + k.sleds_epoch + fault_epoch)
+        })
     }
 
     /// Number of resident extents the cache tracks for an open file — the
@@ -3400,21 +3132,20 @@ impl Kernel {
     /// The kernel half of the paper's "predict which pages of a file would
     /// be flushed from cache" extension; charges the page-walk cost.
     pub fn page_eviction_ranks(&mut self, fd: Fd) -> SimResult<Vec<Option<usize>>> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let n = self
-            .inode(of.ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "eviction ranks on directory"))?
-            .page_count();
-        // Ranks are genuinely per-page (each is an independent policy
-        // query), so this walk keeps the per-page cost.
-        let walk = self.cfg.page_walk_cost_per_page(n);
-        self.clock.advance(walk);
-        self.usage.cpu += walk;
-        Ok((0..n)
-            .map(|i| self.cache.eviction_rank(PageKey::new(of.ino.0, i)))
-            .collect())
+        self.syscall(Entry::Plain, Rec::Off, |k| {
+            let of = k.openfile(fd)?;
+            let n = k
+                .inode(of.ino)?
+                .as_file()
+                .ok_or_else(|| SimError::new(Errno::Eisdir, "eviction ranks on directory"))?
+                .page_count();
+            // Ranks are genuinely per-page (each is an independent policy
+            // query), so this walk keeps the per-page cost.
+            k.charge_cpu(k.cfg.page_walk_cost_per_page(n));
+            Ok((0..n)
+                .map(|i| k.cache.eviction_rank(PageKey::new(of.ino.0, i)))
+                .collect())
+        })
     }
 
     /// Pins the currently-resident pages of `[offset, offset+len)` of an
@@ -3423,47 +3154,44 @@ impl Kernel {
     /// SLED lifetimes. Returns the page indices actually pinned (only
     /// resident pages can be held).
     pub fn pin_range(&mut self, fd: Fd, offset: u64, len: u64) -> SimResult<Vec<u64>> {
-        self.rec_unsupported("ioctl.pin_range");
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let size = self
-            .inode(of.ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "pin_range on directory"))?
-            .size;
-        if len == 0 || offset >= size {
-            return Ok(Vec::new());
-        }
-        let end = size.min(offset.saturating_add(len));
-        let mut pinned = Vec::new();
-        for page in offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
-            if self.cache.pin(PageKey::new(of.ino.0, page)) {
-                pinned.push(page);
-            }
-        }
-        Ok(pinned)
+        self.syscall(Entry::Plain, Rec::Poison("ioctl.pin_range"), |k| {
+            let keys = k.range_keys(fd, offset, len, "pin_range")?;
+            Ok(keys
+                .into_iter()
+                .filter(|&key| k.cache.pin(key))
+                .map(|key| key.index)
+                .collect())
+        })
     }
 
     /// Releases pins on a page range of an open file. Like [`Kernel::pin_range`],
     /// the range is clipped to the file size (pins can only exist on file
     /// pages), so a `(0, u64::MAX)` release is safe and releases everything.
     pub fn unpin_range(&mut self, fd: Fd, offset: u64, len: u64) -> SimResult<()> {
-        self.rec_unsupported("ioctl.unpin_range");
-        self.charge_syscall();
+        self.syscall(Entry::Plain, Rec::Poison("ioctl.unpin_range"), |k| {
+            for key in k.range_keys(fd, offset, len, "unpin_range")? {
+                k.cache.unpin(key);
+            }
+            Ok(())
+        })
+    }
+
+    /// The cache keys of pages `[offset, offset + len)` of an open file,
+    /// clipped to its size; `what` names the ioctl in errors.
+    fn range_keys(&self, fd: Fd, offset: u64, len: u64, what: &str) -> SimResult<Vec<PageKey>> {
         let of = self.openfile(fd)?;
         let size = self
             .inode(of.ino)?
             .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "unpin_range on directory"))?
+            .ok_or_else(|| SimError::new(Errno::Eisdir, format!("{what} on directory")))?
             .size;
         if len == 0 || offset >= size {
-            return Ok(());
+            return Ok(Vec::new());
         }
         let end = size.min(offset.saturating_add(len));
-        for page in offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
-            self.cache.unpin(PageKey::new(of.ino.0, page));
-        }
-        Ok(())
+        Ok((offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE)
+            .map(|page| PageKey::new(of.ino.0, page))
+            .collect())
     }
 
     /// Number of pages currently pinned across the whole cache.
@@ -3498,22 +3226,14 @@ impl Kernel {
             return Ok(());
         }
         // Allocate a contiguous tape region.
-        let sectors = pages
+        let first = hsm.tape_next_sector;
+        let (sectors, next) = pages
             .checked_mul(SECTORS_PER_PAGE)
+            .and_then(|sectors| Some((sectors, first.checked_add(sectors)?)))
             .ok_or_else(|| SimError::new(Errno::Enospc, format!("hsm_migrate({path})")))?;
-        let first = {
-            let h = self.mounts[mount.0].hsm.as_mut().ok_or_else(|| {
-                SimError::new(
-                    Errno::Einval,
-                    format!("hsm_migrate({path}): not an HSM mount"),
-                )
-            })?;
-            let first = h.tape_next_sector;
-            h.tape_next_sector = first
-                .checked_add(sectors)
-                .ok_or_else(|| SimError::new(Errno::Enospc, format!("hsm_migrate({path})")))?;
-            first
-        };
+        if let Some(h) = self.mounts[mount.0].hsm.as_mut() {
+            h.tape_next_sector = next;
+        }
         if !free {
             self.device_command(hsm.tape, first, sectors, true)?;
         }
@@ -3571,17 +3291,7 @@ impl Kernel {
             })?;
             (dev, v.replica_next[member - 1])
         };
-        let cap = self.devices[dev.0].capacity_sectors();
-        let end = pages
-            .checked_mul(SECTORS_PER_PAGE)
-            .and_then(|needed| first.checked_add(needed))
-            .filter(|&end| end <= cap)
-            .ok_or_else(|| {
-                SimError::new(
-                    Errno::Enospc,
-                    format!("device {} full", self.devices[dev.0].name()),
-                )
-            })?;
+        let end = self.extent_end(dev, first, pages)?;
         if let Some(v) = self.mounts[mount.0].volume.as_mut() {
             v.replica_next[member - 1] = end;
         }
@@ -3592,53 +3302,35 @@ impl Kernel {
     /// fragmentation, without charging any time. On a striped volume the
     /// chunks round-robin across the members instead.
     fn layout_pages(&mut self, mount: MountId, pages: u64) -> SimResult<PageMap> {
-        let striped = match self.mounts[mount.0].volume.as_ref() {
-            Some(v) => match v.layout {
-                VolumeLayout::Striped { stripe_pages } => {
-                    Some((stripe_pages.max(1), v.devices.len()))
-                }
-                _ => None,
-            },
-            None => None,
-        };
         let mut map = PageMap::new();
         let mut left = pages;
         while left > 0 {
-            if let Some((stripe, n)) = striped {
-                let take = stripe.min(left);
-                let member = {
-                    let v = self.mounts[mount.0]
-                        .volume
-                        .as_mut()
-                        .ok_or_else(|| SimError::new(Errno::Einval, "volume vanished"))?;
-                    let m = v.stripe_cursor % n;
-                    v.stripe_cursor = (v.stripe_cursor + 1) % n;
-                    m
-                };
-                let (dev, first) = self.allocate_member(mount, member, take)?;
-                map.append_run(dev, first, take);
-                left -= take;
-            } else {
-                let take = match &self.mounts[mount.0].frag {
-                    Some(f) => f.chunk_pages.min(left),
-                    None => left,
-                };
-                let first = self.allocate_sectors(mount, take)?;
-                let dev = self.mounts[mount.0].dev;
-                map.append_run(dev, first, take);
-                left -= take;
-            }
+            let m = &mut self.mounts[mount.0];
+            let (member, take) = match m.volume.as_mut() {
+                Some(VolumeState {
+                    layout: VolumeLayout::Striped { stripe_pages },
+                    devices,
+                    stripe_cursor,
+                    ..
+                }) => {
+                    let member = *stripe_cursor % devices.len();
+                    *stripe_cursor = (*stripe_cursor + 1) % devices.len();
+                    (member, (*stripe_pages).max(1).min(left))
+                }
+                _ => (0, m.frag.as_ref().map_or(left, |f| f.chunk_pages.min(left))),
+            };
+            let (dev, first) = self.allocate_member(mount, member, take)?;
+            map.append_run(dev, first, take);
+            left -= take;
         }
         Ok(map)
     }
 
-    /// Lays out the replica page maps for a `pages`-page file on `mount`:
-    /// one full-size map per non-primary member for mirrored and coded
-    /// volumes, empty otherwise. Coded replicas reserve the full page
-    /// range too — a simulation simplification standing in for fragment
-    /// placement, so every member can serve any page of the file.
-    fn layout_replicas(&mut self, mount: MountId, pages: u64) -> SimResult<Vec<PageMap>> {
-        let members = match self.mounts[mount.0].volume.as_ref() {
+    /// Number of members of `mount` that each hold a full copy (or coded
+    /// fragment) of every file: all of a mirrored or coded volume's
+    /// devices, none otherwise.
+    fn replica_members(&self, mount: MountId) -> usize {
+        match self.mounts[mount.0].volume.as_ref() {
             Some(v)
                 if matches!(
                     v.layout,
@@ -3647,10 +3339,18 @@ impl Kernel {
             {
                 v.devices.len()
             }
-            _ => return Ok(Vec::new()),
-        };
+            _ => 0,
+        }
+    }
+
+    /// Lays out the replica page maps for a `pages`-page file on `mount`:
+    /// one full-size map per non-primary member for mirrored and coded
+    /// volumes, empty otherwise. Coded replicas reserve the full page
+    /// range too — a simulation simplification standing in for fragment
+    /// placement, so every member can serve any page of the file.
+    fn layout_replicas(&mut self, mount: MountId, pages: u64) -> SimResult<Vec<PageMap>> {
         let mut out = Vec::new();
-        for member in 1..members {
+        for member in 1..self.replica_members(mount) {
             let mut map = PageMap::new();
             if pages > 0 {
                 let (dev, first) = self.allocate_member(mount, member, pages)?;
@@ -3669,29 +3369,14 @@ impl Kernel {
         let page_count = size.div_ceil(PAGE_SIZE);
         let pages = self.layout_pages(mount, page_count)?;
         let replicas = self.layout_replicas(mount, page_count)?;
-        let ino = self.alloc_ino();
-        let now = self.clock.now();
-        self.inodes.insert(
-            ino,
-            Inode {
-                ino,
-                mount: Some(mount),
-                body: InodeBody::File(FileNode {
-                    size,
-                    data,
-                    pages,
-                    tape_home: None,
-                    replicas,
-                }),
-                mtime: now,
-            },
-        );
-        let name = name.to_string();
-        self.inode_mut(parent)?
-            .as_dir_mut()
-            .ok_or_else(|| SimError::new(Errno::Enotdir, format!("install_file({path})")))?
-            .insert(name, ino);
-        Ok(ino)
+        let body = InodeBody::File(FileNode {
+            size,
+            data,
+            pages,
+            tape_home: None,
+            replicas,
+        });
+        self.link_new(parent, name, Some(mount), body)
     }
 
     /// Installs a file with the given contents at `path` without charging
@@ -3825,6 +3510,17 @@ fn device_event_name(class: DeviceClass, write: bool) -> &'static str {
 mod tests {
     use super::*;
     use sleds_devices::DiskDevice;
+
+    /// The device sector of every page of a cold file.
+    fn device_sectors(k: &mut Kernel, fd: Fd) -> Vec<u64> {
+        let locs = k.page_locations(fd).unwrap();
+        locs.iter()
+            .map(|l| match l {
+                PageLocation::Device { sector, .. } => *sector,
+                PageLocation::Memory => panic!("expected device"),
+            })
+            .collect()
+    }
 
     fn kernel_with_disk() -> Kernel {
         let mut k = Kernel::table2();
@@ -3975,14 +3671,7 @@ mod tests {
         let data = vec![6u8; 4 * PAGE_SIZE as usize];
         k.install_file("/data/f", &data).unwrap();
         let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
-        let locs = k.page_locations(fd).unwrap();
-        let sectors: Vec<u64> = locs
-            .iter()
-            .map(|l| match l {
-                PageLocation::Device { sector, .. } => *sector,
-                PageLocation::Memory => panic!("expected device"),
-            })
-            .collect();
+        let sectors = device_sectors(&mut k, fd);
         for w in sectors.windows(2) {
             assert_eq!(w[1], w[0] + SECTORS_PER_PAGE);
         }
@@ -3999,14 +3688,7 @@ mod tests {
         let data = vec![6u8; 16 * PAGE_SIZE as usize];
         k.install_file("/data/f", &data).unwrap();
         let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
-        let locs = k.page_locations(fd).unwrap();
-        let sectors: Vec<u64> = locs
-            .iter()
-            .map(|l| match l {
-                PageLocation::Device { sector, .. } => *sector,
-                PageLocation::Memory => panic!("expected device"),
-            })
-            .collect();
+        let sectors = device_sectors(&mut k, fd);
         let gaps = sectors
             .windows(2)
             .filter(|w| w[1] != w[0] + SECTORS_PER_PAGE)

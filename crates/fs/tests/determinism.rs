@@ -851,3 +851,121 @@ fn hedged_workload_capture_identity_replay() {
         "hedged capture → parse → replay must reproduce the capture byte for byte"
     );
 }
+
+/// One kernel call issued against a kernel and an open descriptor.
+type Call = Box<dyn FnOnce(&mut Kernel, sleds_fs::Fd)>;
+
+/// Every kernel entry the recorder cannot replay poisons an armed capture,
+/// and the reason names that entry — not some other call. `run` issues
+/// the entry on a kernel built from [`capture_spec`] with `/d/f` open.
+fn poison_reason(run: Call) -> String {
+    let mut k = build_kernel(&capture_spec()).unwrap();
+    let fd = k.open("/d/f", OpenFlags::RDONLY).unwrap();
+    k.start_capture(128);
+    run(&mut k, fd);
+    let capture = k.stop_capture().unwrap();
+    assert!(!capture.complete, "an uncapturable call must poison");
+    capture.incomplete_reason.unwrap_or_default()
+}
+
+#[test]
+fn uncapturable_calls_poison_the_capture_in_their_own_name() {
+    use sleds_fs::{MountId, PickProgram, ProgInst, ProgPricing};
+    let walk = PickProgram::new(vec![ProgInst::PushConst(1.0)]).unwrap();
+    let cases: Vec<(&str, Call)> = vec![
+        (
+            "ioctl.fsleds_walk",
+            Box::new(move |k, _| {
+                k.fsleds_walk("/d", &walk, &ProgPricing::default()).unwrap();
+            }),
+        ),
+        (
+            "set_fragmentation",
+            Box::new(|k, _| k.set_fragmentation(MountId(0), 4, 8, 1)),
+        ),
+        (
+            "ioctl.fsleds_stat",
+            Box::new(|k, fd| drop(k.fsleds_stat(fd).unwrap())),
+        ),
+        (
+            "ioctl.fsleds_recal",
+            Box::new(|k, fd| drop(k.fsleds_recal(fd).unwrap())),
+        ),
+        (
+            "ioctl.fsleds_satstat",
+            Box::new(|k, fd| drop(k.fsleds_satstat(fd).unwrap())),
+        ),
+        // Both extent walks are the one FSLEDS_GET ioctl.
+        (
+            "ioctl.page_extents",
+            Box::new(|k, fd| drop(k.page_extents(fd).unwrap())),
+        ),
+        (
+            "ioctl.page_extents",
+            Box::new(|k, fd| drop(k.redundant_extents(fd).unwrap())),
+        ),
+        (
+            "ioctl.pin_range",
+            Box::new(|k, fd| drop(k.pin_range(fd, 0, PAGE_SIZE).unwrap())),
+        ),
+        (
+            "ioctl.unpin_range",
+            Box::new(|k, fd| k.unpin_range(fd, 0, PAGE_SIZE).unwrap()),
+        ),
+        ("drop_caches", Box::new(|k, _| k.drop_caches().unwrap())),
+        (
+            "apply_fault_plan",
+            Box::new(|k, _| k.apply_fault_plan(&FaultPlan::new())),
+        ),
+        (
+            "charge_io_public",
+            Box::new(|k, _| k.charge_io_public(SimDuration::from_nanos(1))),
+        ),
+        (
+            "set_hedge_policy",
+            Box::new(|k, _| k.set_hedge_policy(sleds_fs::HedgePolicy::disabled())),
+        ),
+        (
+            "install_file",
+            Box::new(|k, _| k.install_file("/d/g", b"x").unwrap()),
+        ),
+        (
+            "install_sparse_file",
+            Box::new(|k, _| k.install_sparse_file("/d/g", PAGE_SIZE).unwrap()),
+        ),
+        (
+            "warm_file_pages",
+            Box::new(|k, _| k.warm_file_pages("/d/f", 0, 1).unwrap()),
+        ),
+        (
+            "poke_file",
+            Box::new(|k, _| k.poke_file("/d/f", 0, b"").unwrap()),
+        ),
+        (
+            "advance_allocator",
+            Box::new(|k, _| k.advance_allocator(MountId(0), 1).unwrap()),
+        ),
+    ];
+    for (name, run) in cases {
+        let reason = poison_reason(run);
+        assert_eq!(
+            reason,
+            format!("uncapturable call during capture: {name}"),
+            "the poison must name {name}"
+        );
+    }
+
+    // hsm_migrate needs an HSM mount of its own.
+    let mut k = Kernel::table2();
+    k.mkdir("/h").unwrap();
+    let tape = Box::new(sleds_devices::TapeDevice::dlt("st0"));
+    k.mount_hsm("/h", DiskDevice::table2_disk("hd"), tape, 16)
+        .unwrap();
+    k.install_file("/h/f", b"x").unwrap();
+    k.start_capture(8);
+    k.hsm_migrate("/h/f", true).unwrap();
+    assert_eq!(
+        k.stop_capture().unwrap().incomplete_reason.as_deref(),
+        Some("uncapturable call during capture: hsm_migrate")
+    );
+}

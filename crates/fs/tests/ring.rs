@@ -227,32 +227,35 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
 }
 
 #[test]
-fn prog_install_validate_eval_and_teardown() {
+fn walk_verdict_and_estimate_match_the_user_space_predicate() {
     let (mut k, t, path) = setup();
-    let fd = k.open(path, OpenFlags::RDONLY).unwrap();
     let pricing = pricing_from(&t);
 
     // Verification rejects an underflowing program outright.
     let err = PickProgram::new(vec![ProgInst::Lt]).unwrap_err();
     assert_eq!(err.errno, Errno::Einval);
 
-    // Installing on a dead fd is EBADF-class, not a crash.
-    let pred = LatencyPredicate::parse("-m200").unwrap();
-    assert!(k.fsleds_prog(Fd(999), compile_latency(&pred)).is_err());
-
-    // Installed program evaluates exactly like the user-space predicate.
-    k.fsleds_prog(fd, compile_latency(&pred)).unwrap();
-    assert!(k.fd_prog(fd).is_some());
-    let (matched, est) = k.fsleds_prog_eval(fd, &pricing).unwrap();
+    // Over a one-file directory, the in-kernel verdict and estimate are
+    // bit-identical to the user-space estimate and predicate.
+    let fd = k.open(path, OpenFlags::RDONLY).unwrap();
     let seq_est = total_delivery_time(&mut k, &t, fd, AttackPlan::Best).unwrap();
-    assert_eq!(est, seq_est, "bit-identical estimate");
-    assert_eq!(matched, pred.matches(seq_est));
+    for spec in ["-m200", "+m200"] {
+        let pred = LatencyPredicate::parse(spec).unwrap();
+        let entries = k
+            .fsleds_walk("/data", &compile_latency(&pred), &pricing)
+            .unwrap();
+        let file = entries.iter().find(|e| e.path == path).expect("file");
+        let est = file.estimate_secs.expect("priced");
+        assert_eq!(est.to_bits(), seq_est.to_bits(), "bit-identical estimate");
+        assert_eq!(file.matched, pred.matches(seq_est), "{spec}");
+    }
 
-    // Close tears the program down with the descriptor.
-    k.close(fd).unwrap();
-    assert!(k.fd_prog(fd).is_none());
-    let err = k.fsleds_prog_eval(fd, &pricing).unwrap_err();
-    assert_eq!(err.errno, Errno::Ebadf);
+    // A walk rooted at a missing path is an error, not a crash.
+    let pred = LatencyPredicate::parse("-m200").unwrap();
+    let err = k
+        .fsleds_walk("/data/missing", &compile_latency(&pred), &pricing)
+        .unwrap_err();
+    assert_eq!(err.errno, Errno::Enoent);
 }
 
 fn tree_kernel() -> (Kernel, SledsTable) {

@@ -3,14 +3,15 @@
 //! application), hedged-read accounting, striped placement, coded
 //! fan-out, and the `RedundantExtent` view that `FSLEDS_GET` prices.
 
-use sleds_devices::{DiskDevice, FaultPlan};
+use sleds_devices::{BlockDevice, CdRomDevice, DiskDevice, FaultPlan, NfsDevice};
+use sleds_fs::trace::{EventPhase, Layer};
 use sleds_fs::{
     HedgePolicy, JobReport, Kernel, MountId, OpenFlags, PageLocation, VolumeLayout,
     SECTORS_PER_PAGE,
 };
-use sleds_sim_core::{SimDuration, SimTime, PAGE_SIZE};
+use sleds_sim_core::{SimDuration, SimTime, PAGE_SIZE, SECTOR_SIZE};
 
-fn disks(n: usize) -> Vec<Box<dyn sleds_devices::BlockDevice>> {
+fn disks(n: usize) -> Vec<Box<dyn BlockDevice>> {
     (0..n)
         .map(|i| Box::new(DiskDevice::table2_disk(format!("vd{i}"))) as Box<_>)
         .collect()
@@ -287,4 +288,127 @@ fn redundant_extents_describe_the_volume_shape() {
         assert_eq!(re.coded_k, None);
     }
     k.close(fd).unwrap();
+}
+
+/// Per device class: (commands, bytes, busy ns).
+type Ledger = std::collections::BTreeMap<u64, (u64, u64, u64)>;
+
+fn add(ledger: &mut Ledger, class: u64, commands: u64, bytes: u64, busy_ns: u64) {
+    let row = ledger.entry(class).or_default();
+    row.0 += commands;
+    row.1 += bytes;
+    row.2 += busy_ns;
+}
+
+/// Runs a faulted, traced, captured read workload over `/vol` and checks
+/// that the three device ledgers agree. Each member has its own device
+/// class, so the per-class recorder and tracer rows are per-device rows.
+fn assert_device_ledgers_reconcile(
+    layout: VolumeLayout,
+    members: Vec<Box<dyn BlockDevice>>,
+    plan: FaultPlan,
+) {
+    let pages = 32usize;
+    let mut k = Kernel::table2();
+    k.mkdir("/vol").unwrap();
+    k.mount_volume("/vol", layout, members).unwrap();
+    k.install_file("/vol/f", &vec![5u8; pages * PAGE_SIZE as usize])
+        .unwrap();
+    k.drop_caches().unwrap();
+    k.apply_fault_plan(&plan);
+    k.reset_counters();
+    k.enable_tracing_with_capacity(1 << 16);
+    k.start_capture(1024);
+    let fd = k.open("/vol/f", OpenFlags::RDONLY).unwrap();
+    for p in [0u64, 9, 17, 25, 3, 30, 12, 21, 6, 28] {
+        k.pread(fd, p * PAGE_SIZE, PAGE_SIZE as usize).unwrap();
+    }
+    k.close(fd).unwrap();
+    let capture = k.stop_capture().unwrap();
+    assert!(capture.complete, "the read workload must be recordable");
+    assert_eq!(k.trace_dropped(), 0, "the trace ring must hold the run");
+    let usage = k.usage();
+
+    // The command queues: every command, faulted attempt and cancel.
+    let mut queue = Ledger::new();
+    for d in k.saturation_report().devices {
+        add(&mut queue, d.class_code, d.commands, d.bytes, d.busy_ns);
+    }
+    // The flight recorder: the device rows of every captured op.
+    let mut recorder = Ledger::new();
+    for op in &capture.ops {
+        for c in &op.outcome.classes {
+            add(&mut recorder, c.class, c.commands, c.bytes, c.service_ns);
+        }
+    }
+    // The tracer: one span per served command (its duration covers the
+    // queue wait, split out as a `queue_wait` child) plus one
+    // `fault.inject` mark per faulted attempt.
+    let mut traced = Ledger::new();
+    let mut cancels = Ledger::new();
+    let mut faults = 0u64;
+    for e in k.trace_events() {
+        if e.layer != Layer::Device {
+            continue;
+        }
+        match (e.phase, e.name) {
+            (EventPhase::Complete, "queue_wait") => {
+                let row = traced.entry(e.args[2]).or_default();
+                row.2 -= e.dur.as_nanos();
+            }
+            (EventPhase::Complete, name) if name.ends_with(".read") || name.ends_with(".write") => {
+                let bytes = e.args[1] * SECTOR_SIZE;
+                add(&mut traced, e.args[2], 1, bytes, e.dur.as_nanos());
+            }
+            (EventPhase::Mark, "fault.inject") => {
+                faults += 1;
+                add(&mut traced, e.args[0], 1, 0, e.args[2]);
+            }
+            (EventPhase::Mark, "io.hedge") => add(&mut cancels, e.args[1], 1, 0, e.args[2]),
+            _ => {}
+        }
+    }
+
+    assert!(faults > 0, "the workload must include faulted attempts");
+    assert_eq!(queue, recorder, "queue and recorder ledgers must agree");
+    // By design the tracer records a hedge cancel as an `io.hedge` mark,
+    // not a device span: the revoked command never moved data. Adding
+    // the marks back closes the ledger exactly.
+    for (class, (n, bytes, busy)) in &cancels {
+        add(&mut traced, *class, *n, *bytes, *busy);
+    }
+    assert_eq!(queue, traced, "queue and tracer ledgers must agree");
+    assert_eq!(
+        cancels.values().map(|r| r.0).sum::<u64>(),
+        usage.hedges,
+        "one io.hedge mark per cancelled hedge"
+    );
+}
+
+#[test]
+fn device_ledgers_reconcile_over_hedged_mirror_and_coded_volume() {
+    let forever = SimTime::from_nanos(u64::MAX);
+    let fail_cost = SimDuration::from_millis(3);
+
+    // Mirrored disk + metro link: the degraded link makes every cold pick
+    // hedge (the link still wins), and its transient window faults the
+    // winner's first attempts so the retry path runs too.
+    let mirror: Vec<Box<dyn BlockDevice>> = vec![
+        Box::new(DiskDevice::table2_disk("vd0")),
+        Box::new(NfsDevice::metro_link("net0")),
+    ];
+    let plan = FaultPlan::new()
+        .degraded("net0", SimTime::ZERO, forever, 8.0)
+        .transient("net0", SimTime::ZERO, forever, 3, fail_cost);
+    assert_device_ledgers_reconcile(VolumeLayout::Mirrored, mirror, plan);
+
+    // (2,3)-coded disk + link + CD-ROM: a faulted fragment excludes its
+    // member and the read re-picks from the rest.
+    let coded: Vec<Box<dyn BlockDevice>> = vec![
+        Box::new(DiskDevice::table2_disk("vd0")),
+        Box::new(NfsDevice::metro_link("net0")),
+        Box::new(CdRomDevice::table2_drive("cd0")),
+    ];
+    let plan = FaultPlan::new().transient("net0", SimTime::ZERO, forever, 3, fail_cost);
+    assert_device_ledgers_reconcile(VolumeLayout::Coded { k: 2 }, coded, plan);
 }

@@ -23,7 +23,11 @@ run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --release
 run cargo run -p sledlint --release
+# `default-members` makes this cover every workspace crate.
 run cargo test -q
+
+# The benchmark harness is its own workspace; gate its unit tests too.
+run cargo test --release --manifest-path perfbench/Cargo.toml
 
 # Lint-baseline gate: the machine-readable report must match the committed
 # baseline (modulo the file count, which grows with the tree). A new finding
@@ -104,6 +108,14 @@ cp results/BENCH_fsleds_get.json results/BENCH_trace_overhead.json "$recal_tmp/"
 run env SLEDS_RESULTS="$recal_tmp" cargo run --release -p sleds-bench --bin bench_index
 run diff -u <(grep -vE 'host_wall_ns|ops_per_sec' results/BENCH_index.json) \
     <(grep -vE 'host_wall_ns|ops_per_sec' "$recal_tmp/BENCH_index.json")
+
+# Microbenchmark smoke: the quick modes must run to completion. Their
+# host timings are not gated, so the output stays in scratch.
+mkdir -p "$scratch/quick"
+run env SLEDS_QUICK=1 SLEDS_RESULTS="$scratch/quick" \
+    cargo run --release -p sleds-bench --bin fsleds_get_bench
+run env SLEDS_QUICK=1 SLEDS_RESULTS="$scratch/quick" \
+    cargo run --release -p sleds-bench --bin trace_overhead_bench
 
 if [[ "${1:-}" == "--with-proptests" ]]; then
     # The randomized equivalence suites; heavier, so opt-in.
