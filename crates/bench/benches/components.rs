@@ -113,6 +113,37 @@ fn bench_device_models() {
     }
 }
 
+/// 64 KiB of word text like the paper-scan workload's: lines of 4-16
+/// words from a storage vocabulary.
+fn word_text() -> Vec<u8> {
+    const WORDS: [&str; 12] = [
+        "storage",
+        "latency",
+        "disk",
+        "cache",
+        "page",
+        "tape",
+        "robot",
+        "seek",
+        "network",
+        "server",
+        "bandwidth",
+        "transfer",
+    ];
+    let mut rng = DetRng::new(7);
+    let mut text = Vec::with_capacity(66 << 10);
+    while text.len() < 64 << 10 {
+        for w in 0..rng.range_usize(4, 17) {
+            if w > 0 {
+                text.push(b' ');
+            }
+            text.extend_from_slice(WORDS[rng.range_usize(0, WORDS.len())].as_bytes());
+        }
+        text.push(b'\n');
+    }
+    text
+}
+
 fn bench_regex() {
     let hay: Vec<u8> = (0..65536u32).map(|i| b'a' + (i % 26) as u8).collect();
     for (name, pat) in [
@@ -122,6 +153,20 @@ fn bench_regex() {
     ] {
         let re = Regex::new(pat).unwrap();
         time(&format!("regex/{name}"), || re.is_match(&hay));
+    }
+    // Line by line, as grep matches: a literal whose first byte never
+    // occurs in the text, and one whose first byte is common.
+    let text = word_text();
+    for (name, pat) in [
+        ("words_rare_first_byte", "zyzzyva"),
+        ("words_common_first_byte", "needle"),
+    ] {
+        let re = Regex::new(pat).unwrap();
+        time(&format!("regex/{name}"), || {
+            text.split(|&b| b == b'\n')
+                .filter(|line| re.is_match(line))
+                .count()
+        });
     }
 }
 

@@ -61,9 +61,15 @@ pub enum Ast {
     },
 }
 
+/// Deepest group nesting a pattern may use. The parser recurses once per
+/// level, so an unbounded depth would let a pattern overflow the stack.
+pub const MAX_NESTING: usize = 250;
+
 struct Parser<'a> {
     pat: &'a [u8],
     pos: usize,
+    /// Groups open at `pos`.
+    depth: usize,
 }
 
 /// Parses a pattern into an AST.
@@ -71,6 +77,7 @@ pub fn parse(pattern: &str) -> Result<Ast, RegexError> {
     let mut p = Parser {
         pat: pattern.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let ast = p.alternation()?;
     if p.pos != p.pat.len() {
@@ -153,7 +160,13 @@ impl<'a> Parser<'a> {
         match self.bump() {
             None => Err(self.error("unexpected end of pattern")),
             Some(b'(') => {
+                if self.depth == MAX_NESTING {
+                    self.pos -= 1;
+                    return Err(self.error(format!("groups nested deeper than {MAX_NESTING}")));
+                }
+                self.depth += 1;
                 let inner = self.alternation()?;
+                self.depth -= 1;
                 if self.bump() != Some(b')') {
                     self.pos -= 1;
                     return Err(self.error("unclosed group"));

@@ -2,7 +2,9 @@
 //!
 //! Thompson's construction: each AST node compiles to a small instruction
 //! sequence; `Split` edges give the VM its nondeterminism. Instruction
-//! operands are absolute program counters.
+//! operands are absolute program counters. Alongside the instructions the
+//! compiler records a [`Prefilter`]: what the text must hold at a position
+//! for a match to begin there, so the VM can skip the rest.
 
 use crate::ast::{Ast, ByteClass};
 
@@ -23,11 +25,28 @@ pub enum Inst {
     Match,
 }
 
+/// Where a match can begin, derived from the epsilon closure of pc 0.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Prefilter {
+    /// The closure reaches `Match` or `AssertEnd`: any position may start
+    /// a match, so every position is tried.
+    Every,
+    /// Every path passes `AssertStart`: only position 0 can start a match.
+    Anchored,
+    /// Every match begins with these bytes (at least one).
+    Literal(Vec<u8>),
+    /// Every match begins with a byte whose entry is true.
+    Bytes(Box<[bool; 256]>),
+}
+
 /// A compiled program. Execution starts at pc 0.
 #[derive(Clone, Debug)]
 pub struct Prog {
     /// Instructions; `Match` terminates a thread.
     pub insts: Vec<Inst>,
+    /// Positions the VM may skip; derived from `insts`, so only the
+    /// compiler sets it.
+    pub(crate) prefilter: Prefilter,
 }
 
 /// Compiles an AST to a program ending in `Match`.
@@ -35,7 +54,71 @@ pub fn compile(ast: &Ast) -> Prog {
     let mut insts = Vec::new();
     emit(ast, &mut insts);
     insts.push(Inst::Match);
-    Prog { insts }
+    let prefilter = prefilter(&insts);
+    Prog { insts, prefilter }
+}
+
+/// Walks the epsilon closure of pc 0 for the bytes that can begin a
+/// match, then extends a single start byte to the literal prefix: the run
+/// of single-byte classes from pc 0 that every match consumes first.
+fn prefilter(insts: &[Inst]) -> Prefilter {
+    let mut start = [false; 256];
+    let mut zero_width = false;
+    let mut unanchored = false;
+    // Each pc is visited at most once before and once after `AssertStart`.
+    let mut seen = vec![[false; 2]; insts.len()];
+    let mut stack = vec![(0, false)];
+    while let Some((pc, anchored)) = stack.pop() {
+        if std::mem::replace(&mut seen[pc][anchored as usize], true) {
+            continue;
+        }
+        match &insts[pc] {
+            Inst::Jump(next) => stack.push((*next, anchored)),
+            Inst::Split(a, b) => stack.extend([(*a, anchored), (*b, anchored)]),
+            Inst::AssertStart(next) => stack.push((*next, true)),
+            Inst::AssertEnd(_) | Inst::Match => {
+                zero_width = true;
+                unanchored |= !anchored;
+            }
+            Inst::Class(class, _) => {
+                unanchored |= !anchored;
+                for b in 0..=255u8 {
+                    start[b as usize] |= class.matches(b);
+                }
+            }
+        }
+    }
+    if !unanchored {
+        return Prefilter::Anchored;
+    }
+    if zero_width {
+        return Prefilter::Every;
+    }
+    let mut literal = Vec::new();
+    let mut pc = 0;
+    while let Inst::Class(class, next) = &insts[pc] {
+        let Some(b) = only((0..=255).filter(|&b| class.matches(b))) else {
+            break;
+        };
+        literal.push(b);
+        pc = *next;
+    }
+    if literal.is_empty() {
+        // Branches that all begin with one byte, as in `a|ab`.
+        match only((0..=255).filter(|&b| start[b as usize])) {
+            Some(b) => literal.push(b),
+            None => return Prefilter::Bytes(Box::new(start)),
+        }
+    }
+    Prefilter::Literal(literal)
+}
+
+/// The sole item of `items`, if there is exactly one.
+fn only(mut items: impl Iterator<Item = u8>) -> Option<u8> {
+    match (items.next(), items.next()) {
+        (Some(b), None) => Some(b),
+        _ => None,
+    }
 }
 
 /// Emits code for `ast`; on fallthrough control reaches `insts.len()`.

@@ -7,9 +7,20 @@
 //!
 //! Supported syntax: literals, `.`, classes `[a-z0-9]` / `[^...]`, escapes
 //! (`\d \D \w \W \s \S \n \r \t \\` and escaped metacharacters), anchors
-//! `^` / `$`, repetition `* + ?`, alternation `|`, and grouping `(...)`.
-//! Matching is leftmost: [`Regex::find`] returns the match that starts
-//! earliest (preferring the longest among those), like grep.
+//! `^` / `$`, repetition `* + ?`, alternation `|`, and grouping `(...)`,
+//! nested at most [`ast::MAX_NESTING`] deep.
+//! Matching is leftmost-first: [`Regex::find`] returns the match that
+//! starts earliest and, among those, the one the pattern prefers — the
+//! left branch of an alternation, the longer run of a greedy repeat — so
+//! `a|ab` finds `a` in `xab`.
+//!
+//! The compiler also derives a prefilter ([`compile::Prefilter`]) from the
+//! start of the program: the bytes that can begin a match, extended to a
+//! literal prefix where every match begins with the same bytes. The VM
+//! skips straight to the next position that passes it, so a fixed-string
+//! search costs about one word-at-a-time scan of the text plus the VM at
+//! each candidate. The prefilter never changes an answer, and it leaves
+//! the program — and [`Regex::instruction_count`] — as it was.
 
 pub mod ast;
 pub mod compile;
@@ -142,6 +153,10 @@ mod tests {
         assert!(m("^$", ""));
         assert!(!m("^$", "x"));
         assert!(m("^abc$", "abc"));
+        // A start closure that schedules no thread must not stop later
+        // positions from being tried.
+        assert_eq!(f("$", "ab"), Some((2, 2)));
+        assert_eq!(f("^x|$", "ab"), Some((2, 2)));
     }
 
     #[test]
@@ -198,6 +213,18 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        assert!(m(&nested(ast::MAX_NESTING), "a"));
+        let err = Regex::new(&nested(ast::MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err.position, ast::MAX_NESTING);
+        let err = Regex::new(&nested(100_000)).unwrap_err();
+        assert_eq!(err.position, ast::MAX_NESTING);
+        // Sibling groups do not nest, however many there are.
+        assert!(m(&"(a)".repeat(1000), &"a".repeat(1000)));
+    }
+
+    #[test]
     fn kernel_grep_style_patterns() {
         // The paper's motivating example: searching a source tree for a
         // routine name.
@@ -232,5 +259,27 @@ mod tests {
             Regex::new("(abc|def)+x*y+z?").unwrap()
         });
         assert!(big.instruction_count() > small.instruction_count());
+    }
+
+    #[test]
+    fn instruction_counts_of_shipped_patterns_are_pinned() {
+        // The simulated grep charges virtual CPU from this count, so every
+        // paper figure depends on these values.
+        for (pat, count) in [
+            ("needle", 7),
+            ("zzz", 4),
+            (r"sleds_pick_\w+\(", 15),
+            ("ZQXJ", 5),
+            ("x", 2),
+            ("ZQXJKV", 7),
+            ("abcdefgh", 9),
+            ("[a-m]*nop", 7),
+            ("cat|dog|bird|fish", 21),
+            ("zyzzyva", 8),
+        ] {
+            assert_eq!(Regex::new(pat).unwrap().instruction_count(), count, "{pat}");
+        }
+        assert_eq!(Regex::literal("zyzzyva").instruction_count(), 8);
+        assert_eq!(Regex::literal("needle").instruction_count(), 7);
     }
 }

@@ -118,9 +118,8 @@ run env SLEDS_QUICK=1 SLEDS_RESULTS="$scratch/quick" \
     cargo run --release -p sleds-bench --bin trace_overhead_bench
 
 if [[ "${1:-}" == "--with-proptests" ]]; then
-    # The randomized equivalence suites; heavier, so opt-in.
-    run cargo test -q -p sleds-fs --features proptests
-    run cargo test -q -p sleds --features proptests
+    # The randomized equivalence suites of every crate; heavier, so opt-in.
+    run cargo test -q --workspace --features proptests
 fi
 
 echo "All checks passed."
