@@ -68,6 +68,48 @@ fn bench_page_cache() {
             cache.stats().hits
         });
     }
+    // One resident page for each of 100k inodes, probed at seeded random
+    // inodes: the per-inode index lookup of a large tree's SLED walk.
+    const INODES: u64 = 100_000;
+    let mut cache = PageCache::lru(INODES as usize);
+    for ino in 1..=INODES {
+        cache.insert(PageKey::new(ino, 0), false);
+    }
+    let mut rng = DetRng::new(3);
+    let probes: Vec<PageKey> = (0..4096)
+        .map(|_| PageKey::new(rng.range_u64(1, INODES + 1), rng.range_u64(0, 2)))
+        .collect();
+    time("page_cache/contains_100k_inodes", || {
+        probes.iter().filter(|&&key| cache.contains(key)).count()
+    });
+}
+
+/// `stat`, `open` and `close` of seeded random paths in a tree of 100
+/// directories of 1000 sparse one-page files: path resolution and inode
+/// lookups at the scale of a large tree.
+fn bench_namespace() {
+    let mut cfg = MachineConfig::table2();
+    cfg.ram = ByteSize::mib(16);
+    let mut k = Kernel::new(cfg);
+    k.mkdir("/t").unwrap();
+    k.mount_disk("/t", DiskDevice::table2_disk("hda")).unwrap();
+    let mut paths = Vec::with_capacity(100_000);
+    for d in 0..100 {
+        k.mkdir(&format!("/t/d{d:03}")).unwrap();
+        for f in 0..1000 {
+            let path = format!("/t/d{d:03}/f{f:04}");
+            k.install_sparse_file(&path, PAGE_SIZE).unwrap();
+            paths.push(path);
+        }
+    }
+    let mut rng = DetRng::new(4);
+    time("namespace/stat_open_close_100k", || {
+        let path = &paths[rng.range_usize(0, paths.len())];
+        let size = k.stat(path).unwrap().size;
+        let fd = k.open(path, OpenFlags::RDONLY).unwrap();
+        k.close(fd).unwrap();
+        size
+    });
 }
 
 fn bench_device_models() {
@@ -203,6 +245,7 @@ fn main() {
     bench_fsleds_get();
     bench_pick_planning();
     bench_page_cache();
+    bench_namespace();
     bench_device_models();
     bench_regex();
     bench_fits_codec();

@@ -348,8 +348,10 @@ pub struct Kernel {
     cache: PageCache,
     devices: Vec<Box<dyn BlockDevice>>,
     mounts: Vec<Mount>,
-    inodes: BTreeMap<Ino, Inode>,
-    next_ino: u64,
+    /// The inode table, a slab indexed by inode number. Numbers are dense
+    /// from 1 (slot 0 is never used) and never reused: `unlink` leaves a
+    /// `None` hole, so a stale number answers `ESTALE` for good.
+    inodes: Vec<Option<Inode>>,
     fds: BTreeMap<u64, OpenFile>,
     next_fd: u64,
     usage: Rusage,
@@ -390,7 +392,7 @@ impl std::fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("now", &self.clock.now())
             .field("mounts", &self.mounts.len())
-            .field("inodes", &self.inodes.len())
+            .field("inodes", &self.inodes.iter().flatten().count())
             .field("cache", &self.cache)
             .finish()
     }
@@ -401,16 +403,15 @@ impl Kernel {
     pub fn new(cfg: MachineConfig) -> Self {
         let cache = PageCache::new(cfg.cache_pages(), cfg.policy);
         let root = Ino(1);
-        let mut inodes = BTreeMap::new();
-        inodes.insert(
-            root,
-            Inode {
+        let inodes = vec![
+            None,
+            Some(Inode {
                 ino: root,
                 mount: None,
                 body: InodeBody::Dir(Default::default()),
                 mtime: SimTime::ZERO,
-            },
-        );
+            }),
+        ];
         Kernel {
             cfg,
             clock: Clock::new(),
@@ -418,7 +419,6 @@ impl Kernel {
             devices: Vec::new(),
             mounts: Vec::new(),
             inodes,
-            next_ino: 2,
             fds: BTreeMap::new(),
             next_fd: 3, // 0..2 reserved, as tradition demands
             usage: Rusage::default(),
@@ -1499,15 +1499,21 @@ impl Kernel {
     // Path resolution
     // ------------------------------------------------------------------
 
+    /// The inode numbered `ino`, or `None` if it was unlinked or never
+    /// allocated.
+    fn live_inode(&self, ino: Ino) -> Option<&Inode> {
+        self.inodes.get(ino.0 as usize)?.as_ref()
+    }
+
     fn inode(&self, ino: Ino) -> SimResult<&Inode> {
-        self.inodes
-            .get(&ino)
+        self.live_inode(ino)
             .ok_or_else(|| SimError::new(Errno::Estale, format!("stale inode {ino:?}")))
     }
 
     fn inode_mut(&mut self, ino: Ino) -> SimResult<&mut Inode> {
         self.inodes
-            .get_mut(&ino)
+            .get_mut(ino.0 as usize)
+            .and_then(Option::as_mut)
             .ok_or_else(|| SimError::new(Errno::Estale, format!("stale inode {ino:?}")))
     }
 
@@ -1535,48 +1541,47 @@ impl Kernel {
             .ok_or_else(|| SimError::new(Errno::Ebadf, format!("fd {}", fd.0)))
     }
 
-    fn components(path: &str) -> SimResult<Vec<&str>> {
+    /// The components of an absolute path, lazily, skipping empty and `.`
+    /// ones.
+    fn components(path: &str) -> SimResult<impl Iterator<Item = &str>> {
         if !path.starts_with('/') {
             return Err(SimError::new(
                 Errno::Einval,
                 format!("path {path:?} must be absolute"),
             ));
         }
-        Ok(path
-            .split('/')
-            .filter(|c| !c.is_empty() && *c != ".")
-            .collect())
+        Ok(path.split('/').filter(|c| !c.is_empty() && *c != "."))
+    }
+
+    /// The entry `name` of directory `dir`, one step of resolving `path`
+    /// on behalf of `op`.
+    fn child(&self, dir: Ino, name: &str, op: &str, path: &str) -> SimResult<Ino> {
+        let entries = self
+            .inode(dir)?
+            .as_dir()
+            .ok_or_else(|| SimError::new(Errno::Enotdir, format!("{op}({path})")))?;
+        entries
+            .get(name)
+            .copied()
+            .ok_or_else(|| SimError::new(Errno::Enoent, format!("{op}({path})")))
     }
 
     /// Resolves an absolute path to an inode.
     pub fn resolve(&self, path: &str) -> SimResult<Ino> {
-        let mut cur = self.root;
-        for comp in Self::components(path)? {
-            let node = self.inode(cur)?;
-            let dir = node
-                .as_dir()
-                .ok_or_else(|| SimError::new(Errno::Enotdir, format!("resolve({path})")))?;
-            cur = *dir
-                .get(comp)
-                .ok_or_else(|| SimError::new(Errno::Enoent, format!("resolve({path})")))?;
-        }
-        Ok(cur)
+        Self::components(path)?.try_fold(self.root, |cur, comp| {
+            self.child(cur, comp, "resolve", path)
+        })
     }
 
     fn resolve_parent<'p>(&self, path: &'p str) -> SimResult<(Ino, &'p str)> {
-        let comps = Self::components(path)?;
-        let (name, dirs) = comps
-            .split_last()
+        let mut comps = Self::components(path)?;
+        let mut name = comps
+            .next()
             .ok_or_else(|| SimError::new(Errno::Einval, format!("resolve_parent({path})")))?;
         let mut cur = self.root;
-        for comp in dirs {
-            let node = self.inode(cur)?;
-            let dir = node
-                .as_dir()
-                .ok_or_else(|| SimError::new(Errno::Enotdir, format!("resolve_parent({path})")))?;
-            cur = *dir
-                .get(*comp)
-                .ok_or_else(|| SimError::new(Errno::Enoent, format!("resolve_parent({path})")))?;
+        for next in comps {
+            cur = self.child(cur, name, "resolve_parent", path)?;
+            name = next;
         }
         Ok((cur, name))
     }
@@ -1590,18 +1595,14 @@ impl Kernel {
         mount: Option<MountId>,
         body: InodeBody,
     ) -> SimResult<Ino> {
-        let ino = Ino(self.next_ino);
-        self.next_ino += 1;
+        let ino = Ino(self.inodes.len() as u64);
         let mtime = self.clock.now();
-        self.inodes.insert(
+        self.inodes.push(Some(Inode {
             ino,
-            Inode {
-                ino,
-                mount,
-                body,
-                mtime,
-            },
-        );
+            mount,
+            body,
+            mtime,
+        }));
         self.dir_of_mut(parent)?.insert(name.to_string(), ino);
         Ok(ino)
     }
@@ -1698,7 +1699,7 @@ impl Kernel {
             }
             let name = name.to_string();
             k.dir_of_mut(parent)?.remove(&name);
-            k.inodes.remove(&ino);
+            k.inodes[ino.0 as usize] = None;
             k.cache.remove_file(ino.0);
             Ok(())
         })
@@ -1931,12 +1932,9 @@ impl Kernel {
     /// experiments that need a cold cache.
     pub fn drop_caches(&mut self) -> SimResult<()> {
         self.rec_unsupported("drop_caches");
-        let inos: Vec<u64> = self.inodes.keys().map(|i| i.0).collect();
-        for ino in inos {
-            for key in self.cache.dirty_pages_of(ino) {
-                self.writeback(key)?;
-                self.cache.mark_clean(key);
-            }
+        for key in self.cache.dirty_pages() {
+            self.writeback(key)?;
+            self.cache.mark_clean(key);
         }
         self.cache.clear();
         Ok(())
@@ -2128,7 +2126,7 @@ impl Kernel {
 
     /// The volume layout governing `ino`, if its mount is a volume.
     fn volume_of(&self, ino: Ino) -> Option<VolumeLayout> {
-        let mount = self.inodes.get(&ino)?.mount?;
+        let mount = self.live_inode(ino)?.mount?;
         self.mounts.get(mount.0)?.volume.as_ref().map(|v| v.layout)
     }
 
@@ -2541,7 +2539,7 @@ impl Kernel {
     fn writeback(&mut self, key: PageKey) -> SimResult<()> {
         // The inode may already be gone (unlink with dirty pages).
         let ino = Ino(key.inode);
-        let Some(f) = self.inodes.get(&ino).and_then(|node| node.as_file()) else {
+        let Some(f) = self.live_inode(ino).and_then(|node| node.as_file()) else {
             return Ok(());
         };
         let Some(place) = f.pages.place_of(key.index) else {
@@ -3707,6 +3705,28 @@ mod tests {
         k.unlink("/data/f").unwrap();
         assert_eq!(k.cache_resident_pages(), 0);
         assert!(k.open("/data/f", OpenFlags::RDONLY).is_err());
+
+        // The inode table is a slab indexed by number: a descriptor held
+        // across unlink must find a hole (ESTALE), and re-creating the
+        // path must take a fresh, larger number rather than the hole.
+        k.install_file("/data/g", &vec![1u8; PAGE_SIZE as usize])
+            .unwrap();
+        let old = k.stat("/data/g").unwrap().ino;
+        let held = k.open("/data/g", OpenFlags::RDONLY).unwrap();
+        k.unlink("/data/g").unwrap();
+        assert_eq!(k.fstat(held).unwrap_err().errno, Errno::Estale);
+        assert_eq!(
+            k.read(held, PAGE_SIZE as usize).unwrap_err().errno,
+            Errno::Estale
+        );
+        k.install_file("/data/g", b"again").unwrap();
+        let new = k.stat("/data/g").unwrap().ino;
+        assert!(
+            new > old,
+            "inode numbers are never reused: {new:?} vs {old:?}"
+        );
+        assert_eq!(k.fstat(held).unwrap_err().errno, Errno::Estale);
+        k.close(held).unwrap();
     }
 
     #[test]

@@ -25,7 +25,6 @@
 pub mod extent;
 pub mod policy;
 
-use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
 pub use extent::ExtentSet;
@@ -37,6 +36,9 @@ pub use policy::{
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct PageKey {
     /// Inode number (unique per mounted file system tree in the simulator).
+    /// The cache indexes its per-inode state by this number in a slab, so
+    /// numbers should be dense from zero and must never be reused: a reused
+    /// number would inherit the old file's residency generation.
     pub inode: u64,
     /// Page index: byte offset divided by the page size.
     pub index: u64,
@@ -86,6 +88,47 @@ struct InodeIndex {
     generation: u64,
 }
 
+/// The extent indexes of every inode ever cached, in a slab indexed by inode
+/// number: O(1) lookups, ascending-inode iteration. Entries are boxed so an
+/// inode that was never cached costs one pointer. Relies on inode numbers
+/// being dense and never reused (see [`PageKey::inode`]).
+#[derive(Default)]
+struct InodeSlab(Vec<Option<Box<InodeIndex>>>);
+
+impl InodeSlab {
+    /// The slab position of `inode` (lossless on the 64-bit hosts the
+    /// simulator runs on).
+    fn slot(inode: u64) -> usize {
+        inode as usize
+    }
+
+    fn get(&self, inode: u64) -> Option<&InodeIndex> {
+        self.0.get(Self::slot(inode))?.as_deref()
+    }
+
+    fn get_mut(&mut self, inode: u64) -> Option<&mut InodeIndex> {
+        self.0.get_mut(Self::slot(inode))?.as_deref_mut()
+    }
+
+    /// The extent index of `inode`, created (and the slab grown) on first
+    /// use.
+    fn get_or_default(&mut self, inode: u64) -> &mut InodeIndex {
+        let slot = Self::slot(inode);
+        if slot >= self.0.len() {
+            self.0.resize_with(slot + 1, || None);
+        }
+        self.0[slot].get_or_insert_with(Box::default)
+    }
+
+    /// Every inode ever cached with its extent index, ascending.
+    fn iter(&self) -> impl Iterator<Item = (u64, &InodeIndex)> + '_ {
+        self.0
+            .iter()
+            .enumerate()
+            .filter_map(|(ino, ix)| Some((ino as u64, ix.as_deref()?)))
+    }
+}
+
 /// The buffer cache: residency + dirty metadata under a replacement policy.
 pub struct PageCache {
     capacity: usize,
@@ -93,7 +136,7 @@ pub struct PageCache {
     pinned_len: usize,
     /// Inode number -> extent index. Entries are kept once created (even
     /// when emptied) so generation counters never restart.
-    index: BTreeMap<u64, InodeIndex>,
+    index: InodeSlab,
     policy: Box<dyn ReplacementPolicy>,
     stats: CacheStats,
 }
@@ -122,7 +165,7 @@ impl PageCache {
             capacity,
             len: 0,
             pinned_len: 0,
-            index: BTreeMap::new(),
+            index: InodeSlab::default(),
             policy: policy.build(capacity),
             stats: CacheStats::default(),
         }
@@ -151,7 +194,7 @@ impl PageCache {
     /// Current number of dirty resident pages across all inodes — the
     /// writeback debt a cache-state report shows next to residency.
     pub fn dirty_count(&self) -> u64 {
-        self.index.values().map(|ix| ix.dirty.page_count()).sum()
+        self.index.iter().map(|(_, ix)| ix.dirty.page_count()).sum()
     }
 
     /// The replacement policy's name, for reports.
@@ -176,7 +219,7 @@ impl PageCache {
     /// change it.
     pub fn contains(&self, key: PageKey) -> bool {
         self.index
-            .get(&key.inode)
+            .get(key.inode)
             .is_some_and(|ix| ix.resident.contains(key.index))
     }
 
@@ -197,7 +240,7 @@ impl PageCache {
     /// policy (the caller has already settled with it). Returns whether the
     /// page was dirty, or None when it was not resident.
     fn detach(&mut self, key: PageKey) -> Option<bool> {
-        let ix = self.index.get_mut(&key.inode)?;
+        let ix = self.index.get_mut(key.inode)?;
         // Probe before mutating: once the priced extent set changes, every
         // path out of here must bump the generation (sledlint D010).
         if !ix.resident.contains(key.index) {
@@ -221,7 +264,7 @@ impl PageCache {
     pub fn insert(&mut self, key: PageKey, dirty: bool) -> Option<Evicted> {
         if let Some(ix) = self
             .index
-            .get_mut(&key.inode)
+            .get_mut(key.inode)
             .filter(|ix| ix.resident.contains(key.index))
         {
             if dirty {
@@ -257,7 +300,7 @@ impl PageCache {
                 }
             }
         }
-        let ix = self.index.entry(key.inode).or_default();
+        let ix = self.index.get_or_default(key.inode);
         ix.resident.insert(key.index);
         if dirty {
             ix.dirty.insert(key.index);
@@ -280,7 +323,7 @@ impl PageCache {
     /// Returns false (and pins nothing) when the page is not resident —
     /// a reservation can only hold what exists.
     pub fn pin(&mut self, key: PageKey) -> bool {
-        let Some(ix) = self.index.get_mut(&key.inode) else {
+        let Some(ix) = self.index.get_mut(key.inode) else {
             return false;
         };
         if !ix.resident.contains(key.index) {
@@ -294,7 +337,7 @@ impl PageCache {
 
     /// Releases a pin. No-op if not pinned.
     pub fn unpin(&mut self, key: PageKey) {
-        if let Some(ix) = self.index.get_mut(&key.inode) {
+        if let Some(ix) = self.index.get_mut(key.inode) {
             if ix.pinned.remove(key.index) {
                 self.pinned_len -= 1;
             }
@@ -304,7 +347,7 @@ impl PageCache {
     /// True when the page is pinned.
     pub fn is_pinned(&self, key: PageKey) -> bool {
         self.index
-            .get(&key.inode)
+            .get(key.inode)
             .is_some_and(|ix| ix.pinned.contains(key.index))
     }
 
@@ -315,7 +358,7 @@ impl PageCache {
 
     /// Marks a resident page dirty. No-op if the page is not resident.
     pub fn mark_dirty(&mut self, key: PageKey) {
-        if let Some(ix) = self.index.get_mut(&key.inode) {
+        if let Some(ix) = self.index.get_mut(key.inode) {
             if ix.resident.contains(key.index) {
                 ix.dirty.insert(key.index);
             }
@@ -325,7 +368,7 @@ impl PageCache {
     /// True if the page is resident and dirty.
     pub fn is_dirty(&self, key: PageKey) -> bool {
         self.index
-            .get(&key.inode)
+            .get(key.inode)
             .is_some_and(|ix| ix.dirty.contains(key.index))
     }
 
@@ -343,7 +386,7 @@ impl PageCache {
     /// Costs O(pages of this inode), not O(cache): the extent index knows
     /// exactly which pages belong to the file.
     pub fn remove_file(&mut self, inode: u64) -> Vec<PageKey> {
-        let Some(ix) = self.index.get(&inode) else {
+        let Some(ix) = self.index.get(inode) else {
             return Vec::new();
         };
         let pages: Vec<u64> = ix.resident.iter_pages().collect();
@@ -360,7 +403,7 @@ impl PageCache {
     /// Returns the dirty pages of `inode` without removing them (`fsync`).
     pub fn dirty_pages_of(&self, inode: u64) -> Vec<PageKey> {
         self.index
-            .get(&inode)
+            .get(inode)
             .map(|ix| {
                 ix.dirty
                     .iter_pages()
@@ -370,9 +413,18 @@ impl PageCache {
             .unwrap_or_default()
     }
 
+    /// Every dirty page in the cache, in ascending `(inode, page)` order —
+    /// the writeback order of a whole-cache flush.
+    pub fn dirty_pages(&self) -> Vec<PageKey> {
+        self.index
+            .iter()
+            .flat_map(|(ino, ix)| ix.dirty.iter_pages().map(move |p| PageKey::new(ino, p)))
+            .collect()
+    }
+
     /// Marks a page clean after writeback.
     pub fn mark_clean(&mut self, key: PageKey) {
-        if let Some(ix) = self.index.get_mut(&key.inode) {
+        if let Some(ix) = self.index.get_mut(key.inode) {
             ix.dirty.remove(key.index);
         }
     }
@@ -400,7 +452,7 @@ impl PageCache {
         range: RangeInclusive<u64>,
     ) -> Vec<RangeInclusive<u64>> {
         self.index
-            .get(&inode)
+            .get(inode)
             .map(|ix| ix.resident.runs_in(range))
             .unwrap_or_default()
     }
@@ -409,7 +461,7 @@ impl PageCache {
     /// or `u64::MAX` when it never does. O(log runs).
     pub fn next_boundary(&self, inode: u64, page: u64) -> u64 {
         self.index
-            .get(&inode)
+            .get(inode)
             .map(|ix| ix.resident.next_boundary(page))
             .unwrap_or(u64::MAX)
     }
@@ -417,7 +469,7 @@ impl PageCache {
     /// Number of resident runs for `inode` (0 when nothing is cached).
     pub fn resident_run_count(&self, inode: u64) -> usize {
         self.index
-            .get(&inode)
+            .get(inode)
             .map(|ix| ix.resident.run_count())
             .unwrap_or(0)
     }
@@ -427,7 +479,7 @@ impl PageCache {
     /// and never restarts, so `(inode, generation)` uniquely identifies a
     /// residency state for memoization.
     pub fn generation(&self, inode: u64) -> u64 {
-        self.index.get(&inode).map(|ix| ix.generation).unwrap_or(0)
+        self.index.get(inode).map(|ix| ix.generation).unwrap_or(0)
     }
 
     /// Drops everything (unmount without writeback; test helper).
@@ -435,7 +487,7 @@ impl PageCache {
         let keys: Vec<PageKey> = self
             .index
             .iter()
-            .flat_map(|(&ino, ix)| ix.resident.iter_pages().map(move |p| PageKey::new(ino, p)))
+            .flat_map(|(ino, ix)| ix.resident.iter_pages().map(move |p| PageKey::new(ino, p)))
             .collect();
         for k in keys {
             self.remove(k);
@@ -633,6 +685,29 @@ mod tests {
         assert_eq!(c.dirty_pages_of(1).len(), 2);
         c.mark_clean(PageKey::new(1, 0));
         assert_eq!(c.dirty_pages_of(1), vec![PageKey::new(1, 1)]);
+    }
+
+    #[test]
+    fn dirty_pages_ascend_by_inode_then_page() {
+        let mut c = PageCache::lru(8);
+        c.insert(PageKey::new(7, 3), true);
+        c.insert(PageKey::new(2, 9), true);
+        c.insert(PageKey::new(7, 1), true);
+        c.insert(PageKey::new(2, 4), false);
+        c.insert(PageKey::new(0, 5), true);
+        assert_eq!(
+            c.dirty_pages(),
+            vec![
+                PageKey::new(0, 5),
+                PageKey::new(2, 9),
+                PageKey::new(7, 1),
+                PageKey::new(7, 3),
+            ]
+        );
+        c.mark_clean(PageKey::new(2, 9));
+        c.remove_file(7);
+        assert_eq!(c.dirty_pages(), vec![PageKey::new(0, 5)]);
+        assert!(!c.contains(PageKey::new(99, 0)), "beyond the slab: absent");
     }
 
     #[test]

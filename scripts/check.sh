@@ -116,6 +116,7 @@ run env SLEDS_QUICK=1 SLEDS_RESULTS="$scratch/quick" \
     cargo run --release -p sleds-bench --bin fsleds_get_bench
 run env SLEDS_QUICK=1 SLEDS_RESULTS="$scratch/quick" \
     cargo run --release -p sleds-bench --bin trace_overhead_bench
+run env SLEDS_QUICK=1 cargo bench -q -p sleds-bench --bench components
 
 if [[ "${1:-}" == "--with-proptests" ]]; then
     # The randomized equivalence suites of every crate; heavier, so opt-in.
