@@ -99,6 +99,17 @@ run diff -u results/REDUNDANCY_report.json "$recal_tmp/REDUNDANCY_report.json"
 run diff -u <(grep -vE 'host_wall_ns|ops_per_sec' results/BENCH_redundancy.json) \
     <(grep -vE 'host_wall_ns|ops_per_sec' "$recal_tmp/BENCH_redundancy.json")
 
+# Policy-ablation gate: ablation 1 is the only report that runs all five
+# replacement policies, and fig3/fig4 are the paper's cache figures. Their
+# quick-to-regenerate outputs are pure functions of the simulated machine,
+# so they must match the committed reports byte-for-byte.
+mkdir -p "$scratch/figures"
+run env SLEDS_RESULTS="$scratch/figures" \
+    cargo run --release -p sleds-bench --bin figures -- ablations fig3 fig4
+for f in ablations.txt fig3.txt fig4.txt; do
+    run diff -u "results/$f" "$scratch/figures/$f"
+done
+
 # Bench-index gate: every BENCH_*.json must carry the common
 # sleds-bench-v1 envelope, and the index over them must match the
 # committed baseline (host-dependent envelope fields filtered). The
