@@ -82,6 +82,23 @@ fn bench_page_cache() {
     time("page_cache/contains_100k_inodes", || {
         probes.iter().filter(|&&key| cache.contains(key)).count()
     });
+    // Figure 3's regime at Table 2 size: runs of fresh files streaming
+    // through a full 10,752-page LRU cache, one file per run, so every
+    // iteration fills one run and evicts one. Files are reused only long
+    // after they have left the cache.
+    const TABLE2_PAGES: u64 = 10_752;
+    for run in [512u64, 4] {
+        let files = 2 * TABLE2_PAGES / run + 1;
+        let mut cache = PageCache::lru(TABLE2_PAGES as usize);
+        for ino in 1..=TABLE2_PAGES / run {
+            cache.insert_run(ino, 0, run, false);
+        }
+        let mut ino = TABLE2_PAGES / run;
+        time(&format!("page_cache/lru_fill_{run}_page_runs"), || {
+            ino = ino % files + 1;
+            cache.insert_run(ino, 0, run, false).len()
+        });
+    }
 }
 
 /// `stat`, `open` and `close` of seeded random paths in a tree of 100

@@ -2023,9 +2023,7 @@ impl Kernel {
             let fault_cpu = SimDuration::from_nanos(self.cfg.fault_cpu.as_nanos() * run_len);
             self.clock.advance(fault_cpu);
             self.usage.cpu += fault_cpu;
-            for i in 0..run_len + ra_len {
-                self.cache_insert(PageKey::new(ino.0, run_start + i), false)?;
-            }
+            self.cache_insert_run(ino, run_start, run_len + ra_len, false)?;
             p = run_end;
         }
         Ok(())
@@ -2493,9 +2491,7 @@ impl Kernel {
                 f.pages.bump_generation();
             }
         }
-        for page in first_page..=last_page {
-            self.cache_insert(PageKey::new(ino.0, page), true)?;
-        }
+        self.cache_insert_run(ino, first_page, last_page - first_page + 1, true)?;
         Ok(())
     }
 
@@ -2524,16 +2520,22 @@ impl Kernel {
             .ok_or_else(|| SimError::new(Errno::Enospc, format!("device {} full", d.name())))
     }
 
-    fn cache_insert(&mut self, key: PageKey, dirty: bool) -> SimResult<()> {
-        if let Some(ev) = self.cache.insert(key, dirty) {
+    /// Inserts pages `first..first + pages` of `ino` and folds the victims
+    /// in eviction order: a `cache.evict` mark each, and a writeback for
+    /// each dirty one. Every victim has already left the cache, so a failed
+    /// writeback loses only its own page: the fold goes on and reports the
+    /// first failure.
+    fn cache_insert_run(&mut self, ino: Ino, first: u64, pages: u64, dirty: bool) -> SimResult<()> {
+        let mut folded = Ok(());
+        for ev in self.cache.insert_run(ino.0, first, pages, dirty) {
             let now = self.clock.now();
             self.tracer
                 .cache_evict(now, ev.key.index, u64::from(ev.dirty), ev.key.inode);
             if ev.dirty {
-                self.writeback(ev.key)?;
+                folded = folded.and(self.writeback(ev.key));
             }
         }
-        Ok(())
+        folded
     }
 
     fn writeback(&mut self, key: PageKey) -> SimResult<()> {
@@ -3137,12 +3139,10 @@ impl Kernel {
                 .as_file()
                 .ok_or_else(|| SimError::new(Errno::Eisdir, "eviction ranks on directory"))?
                 .page_count();
-            // Ranks are genuinely per-page (each is an independent policy
-            // query), so this walk keeps the per-page cost.
+            // The answer is per page, so the modeled walk keeps the
+            // per-page cost.
             k.charge_cpu(k.cfg.page_walk_cost_per_page(n));
-            Ok((0..n)
-                .map(|i| k.cache.eviction_rank(PageKey::new(of.ino.0, i)))
-                .collect())
+            Ok(k.cache.eviction_ranks(of.ino.0, n))
         })
     }
 
@@ -3417,9 +3417,7 @@ impl Kernel {
                 format!("warm_file_pages({path}): {end} beyond {n} pages"),
             ));
         }
-        for p in first_page..end {
-            self.cache.insert(PageKey::new(ino.0, p), false);
-        }
+        self.cache.insert_run(ino.0, first_page, pages, false);
         Ok(())
     }
 

@@ -60,60 +60,78 @@ impl ExtentSet {
     /// Inserts `page`, coalescing with adjacent runs. Returns true when the
     /// page was not already present.
     pub fn insert(&mut self, page: u64) -> bool {
+        self.insert_range(page, 1) == 1
+    }
+
+    /// Inserts pages `first..first + pages`, coalescing every run they
+    /// overlap or touch into one. Returns how many pages were not already
+    /// present. O(log runs + runs merged).
+    pub fn insert_range(&mut self, first: u64, pages: u64) -> u64 {
+        if pages == 0 {
+            return 0;
+        }
         assert!(
-            page < u64::MAX,
+            pages <= u64::MAX - first,
             "u64::MAX is reserved as the no-boundary sentinel"
         );
-        if self.contains(page) {
-            return false;
-        }
-        // Merge with a run ending exactly at `page`...
-        let left = self
-            .runs
-            .range(..page)
-            .next_back()
-            .map(|(&s, &l)| (s, l))
-            .filter(|&(s, l)| s + l == page);
-        // ...and/or a run starting exactly at `page + 1`.
-        let right = page
-            .checked_add(1)
-            .and_then(|n| self.runs.get(&n).map(|&l| (n, l)));
-        match (left, right) {
-            (Some((ls, ll)), Some((rs, rl))) => {
-                self.runs.remove(&rs);
-                self.runs.insert(ls, ll + 1 + rl);
-            }
-            (Some((ls, ll)), None) => {
-                self.runs.insert(ls, ll + 1);
-            }
-            (None, Some((rs, rl))) => {
-                self.runs.remove(&rs);
-                self.runs.insert(page, rl + 1);
-            }
-            (None, None) => {
-                self.runs.insert(page, 1);
+        let end = first + pages;
+        let (mut lo, mut hi, mut present) = (first, end, 0);
+        // A run starting before `first` that reaches it absorbs the range...
+        if let Some((&s, &l)) = self.runs.range(..first).next_back() {
+            if s + l >= first {
+                lo = s;
+                hi = hi.max(s + l);
+                present += (s + l).min(end).saturating_sub(first);
+                self.runs.remove(&s);
             }
         }
-        self.pages += 1;
-        true
+        // ...as does every run starting inside it or right at its end.
+        while let Some((&s, &l)) = self.runs.range(first..=end).next() {
+            hi = hi.max(s + l);
+            present += (s + l).min(end).saturating_sub(s);
+            self.runs.remove(&s);
+        }
+        self.runs.insert(lo, hi - lo);
+        let added = pages - present;
+        self.pages += added;
+        added
     }
 
     /// Removes `page`, splitting its run if needed. Returns true when the
     /// page was present.
     pub fn remove(&mut self, page: u64) -> bool {
-        let Some((s, l)) = self.run_of(page) else {
-            return false;
-        };
-        self.runs.remove(&s);
-        if page > s {
-            self.runs.insert(s, page - s);
+        self.remove_range(page, 1) == 1
+    }
+
+    /// Removes pages `first..first + pages`, trimming or splitting the runs
+    /// at its edges. Returns how many pages were present. O(log runs + runs
+    /// removed).
+    pub fn remove_range(&mut self, first: u64, pages: u64) -> u64 {
+        if pages == 0 {
+            return 0;
         }
-        let tail = s + l - (page + 1);
-        if tail > 0 {
-            self.runs.insert(page + 1, tail);
+        let end = first.saturating_add(pages);
+        let mut removed = 0;
+        // A run starting before `first` keeps its head; a tail past `end`
+        // survives as its own run.
+        if let Some((&s, &l)) = self.runs.range(..first).next_back() {
+            if s + l > first {
+                self.runs.insert(s, first - s);
+                if s + l > end {
+                    self.runs.insert(end, s + l - end);
+                }
+                removed += (s + l).min(end) - first;
+            }
         }
-        self.pages -= 1;
-        true
+        while let Some((&s, &l)) = self.runs.range(first..end).next() {
+            self.runs.remove(&s);
+            if s + l > end {
+                self.runs.insert(end, s + l - end);
+            }
+            removed += (s + l).min(end) - s;
+        }
+        self.pages -= removed;
+        removed
     }
 
     /// The first page index `> page` whose membership differs from `page`'s,
@@ -284,5 +302,37 @@ mod tests {
         assert_eq!(s.next_boundary(u64::MAX - 1), u64::MAX);
         s.remove(u64::MAX - 1);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn range_insert_merges_and_counts_new_pages() {
+        let mut s = ExtentSet::new();
+        s.insert_range(2, 2);
+        s.insert_range(8, 2);
+        // Pages 3..=8: 3 and 8 are present, 4..=7 are new.
+        assert_eq!(s.insert_range(3, 6), 4);
+        assert_eq!(runs(&s), vec![(2, 8)]);
+        assert_eq!(s.insert_range(10, 1), 1, "adjacent pages coalesce");
+        assert_eq!(s.insert_range(0, 1), 1);
+        assert_eq!(runs(&s), vec![(0, 1), (2, 9)]);
+        assert_eq!(s.insert_range(5, 0), 0);
+        assert_eq!(s.page_count(), 10);
+    }
+
+    #[test]
+    fn range_remove_trims_and_splits() {
+        let mut s = ExtentSet::new();
+        s.insert_range(0, 4);
+        s.insert_range(6, 4);
+        s.insert_range(12, 2);
+        // Pages 2..=12: 2, 3, 6..=9 and 12 are present.
+        assert_eq!(s.remove_range(2, 11), 7);
+        assert_eq!(runs(&s), vec![(0, 2), (13, 1)]);
+        assert_eq!(s.remove_range(4, 5), 0, "a gap removes nothing");
+        s.insert_range(20, 10);
+        assert_eq!(s.remove_range(22, 3), 3);
+        assert_eq!(runs(&s), vec![(0, 2), (13, 1), (20, 2), (25, 5)]);
+        assert_eq!(s.remove_range(21, 0), 0);
+        assert_eq!(s.page_count(), 10);
     }
 }

@@ -21,6 +21,16 @@
 //! **generation counter**, bumped whenever its residency changes, which lets
 //! callers memoize derived results (like a SLED vector) and revalidate them
 //! in O(1).
+//!
+//! Pages enter the cache a run at a time. [`PageCache::insert_run`] is the
+//! one insertion path ([`PageCache::insert`] is a run of one page), and its
+//! contract is equivalence: victims, policy order, extents, counters and
+//! generations end exactly as inserting the pages one at a time would leave
+//! them. The policies keep their queues run-length too (consecutive pages of
+//! one inode queued back to back share one entry), so a 512-page read that
+//! fills a full cache evicts whole runs from the old end: its cost grows
+//! with the runs touched, not the pages moved. Removal (`remove_file`,
+//! `clear`) likewise works run by run.
 
 pub mod extent;
 pub mod policy;
@@ -236,80 +246,179 @@ impl PageCache {
         }
     }
 
-    /// Detaches a resident page from the extent index without informing the
-    /// policy (the caller has already settled with it). Returns whether the
-    /// page was dirty, or None when it was not resident.
-    fn detach(&mut self, key: PageKey) -> Option<bool> {
-        let ix = self.index.get_mut(key.inode)?;
-        // Probe before mutating: once the priced extent set changes, every
-        // path out of here must bump the generation (sledlint D010).
-        if !ix.resident.contains(key.index) {
-            return None;
-        }
-        ix.resident.remove(key.index);
-        let dirty = ix.dirty.remove(key.index);
-        if ix.pinned.remove(key.index) {
-            self.pinned_len -= 1;
-        }
-        ix.generation += 1;
-        self.len -= 1;
-        Some(dirty)
-    }
-
-    /// Inserts a page (clean unless `dirty`), evicting if necessary.
+    /// Inserts a page (clean unless `dirty`), evicting if necessary:
+    /// [`insert_run`](Self::insert_run) of one page.
     ///
     /// Returns the evicted page, if any, so the caller can charge a
     /// writeback for dirty victims. Inserting an already-resident page just
     /// refreshes it (and ORs the dirty bit).
     pub fn insert(&mut self, key: PageKey, dirty: bool) -> Option<Evicted> {
-        if let Some(ix) = self
-            .index
-            .get_mut(key.inode)
-            .filter(|ix| ix.resident.contains(key.index))
-        {
-            if dirty {
-                ix.dirty.insert(key.index);
+        self.insert_run(key.inode, key.index, 1, dirty).pop()
+    }
+
+    /// Inserts pages `first..first + pages` of `inode` (clean unless
+    /// `dirty`), evicting as needed, and returns the victims in eviction
+    /// order so the caller can charge a writeback for the dirty ones.
+    ///
+    /// Defined as inserting the pages one at a time, ascending. An
+    /// already-resident page is refreshed (a policy hit) and ORs the dirty
+    /// bit. A new page entering a full cache first evicts one victim;
+    /// pinned pages are not evictable, so the search skips them
+    /// (re-queueing each as the newest) for up to one full pass, and if
+    /// everything is pinned the cache overflows, as mlock'd memory does —
+    /// pinning reduces the reclaimable set, it does not make allocation
+    /// fail. Victims, policy order, extents, counters and generations end
+    /// exactly as that loop leaves them, but the work is done a run at a
+    /// time: one policy call and one extent update per run of victims.
+    pub fn insert_run(&mut self, inode: u64, first: u64, pages: u64, dirty: bool) -> Vec<Evicted> {
+        assert!(
+            pages <= u64::MAX - first,
+            "u64::MAX is reserved as the no-boundary sentinel"
+        );
+        let end = first + pages;
+        let mut victims = Vec::new();
+        let mut p = first;
+        while p < end {
+            // Residency is re-read at every segment: filling a gap may
+            // evict resident pages further along the run.
+            let ix = self.index.get_or_default(inode);
+            let boundary = ix.resident.next_boundary(p).min(end);
+            if ix.resident.contains(p) {
+                if dirty {
+                    ix.dirty.insert_range(p, boundary - p);
+                }
+                for q in p..boundary {
+                    self.policy.on_hit(PageKey::new(inode, q));
+                }
+            } else {
+                self.fill(inode, p, boundary, dirty, &mut victims);
             }
-            self.policy.on_hit(key);
-            return None;
+            p = boundary;
         }
-        let mut evicted = None;
-        if self.len >= self.capacity {
-            // Pinned pages are not evictable: skip them (re-inserting into
-            // the policy) up to one full pass. If everything is pinned the
-            // cache overflows, as mlock'd memory does — pinning reduces the
-            // reclaimable set, it does not make allocation fail.
-            for _ in 0..=self.len {
-                match self.policy.evict() {
-                    Some(victim) if self.is_pinned(victim) => {
-                        self.policy.on_insert(victim);
-                    }
-                    Some(victim) => {
-                        let was_dirty = self.detach(victim).unwrap_or(false);
-                        self.stats.evictions += 1;
-                        if was_dirty {
-                            self.stats.dirty_evictions += 1;
-                        }
-                        evicted = Some(Evicted {
-                            key: victim,
-                            dirty: was_dirty,
-                        });
-                        break;
-                    }
-                    None => break,
+        victims
+    }
+
+    /// Inserts the non-resident pages `first..end` of `inode`, evicting one
+    /// victim per page while the cache is full.
+    fn fill(&mut self, inode: u64, first: u64, end: u64, dirty: bool, victims: &mut Vec<Evicted>) {
+        let mut p = first;
+        // Evictions that met a pinned page while searching for page `p`'s
+        // victim; the search gives up after one full pass.
+        let mut skipped = 0u64;
+        while p < end {
+            let room = self.capacity.saturating_sub(self.len) as u64;
+            if room > 0 {
+                let n = room.min(end - p);
+                self.attach(inode, p, n, dirty);
+                p += n;
+                continue;
+            }
+            let pass = self.len as u64 + 1;
+            let taken = (skipped < pass)
+                .then(|| self.policy.evict_run((end - p).min(pass - skipped)))
+                .flatten();
+            let Some((v, n)) = taken else {
+                // A full pass met only pinned pages: overflow.
+                self.attach(inode, p, 1, dirty);
+                p += 1;
+                skipped = 0;
+                continue;
+            };
+            if !self.any_pinned(v, n) {
+                // The common case: `n` victims for the next `n` pages.
+                self.evict_pages(v, n, victims);
+                self.attach(inode, p, n, dirty);
+                p += n;
+                skipped = 0;
+                continue;
+            }
+            for key in (0..n).map(|i| PageKey::new(v.inode, v.index + i)) {
+                if self.is_pinned(key) {
+                    self.policy.on_insert(key, 1);
+                    skipped += 1;
+                } else {
+                    self.evict_pages(key, 1, victims);
+                    self.attach(inode, p, 1, dirty);
+                    p += 1;
+                    skipped = 0;
                 }
             }
         }
-        let ix = self.index.get_or_default(key.inode);
-        ix.resident.insert(key.index);
+    }
+
+    /// Makes the non-resident pages `first..first + pages` of `inode`
+    /// resident and queues them with the policy.
+    fn attach(&mut self, inode: u64, first: u64, pages: u64, dirty: bool) {
+        let ix = self.index.get_or_default(inode);
+        ix.resident.insert_range(first, pages);
         if dirty {
-            ix.dirty.insert(key.index);
+            ix.dirty.insert_range(first, pages);
         }
-        ix.generation += 1;
-        self.len += 1;
-        self.policy.on_insert(key);
-        self.stats.insertions += 1;
-        evicted
+        ix.generation += pages;
+        self.len += pages as usize;
+        self.policy.on_insert(PageKey::new(inode, first), pages);
+        self.stats.insertions += pages;
+    }
+
+    /// Evicts pages `first.index..first.index + pages`, which the policy has
+    /// just given up, recording them as victims in ascending order.
+    fn evict_pages(&mut self, first: PageKey, pages: u64, victims: &mut Vec<Evicted>) {
+        let mut dirty = 0;
+        self.detach(first.inode, first.index, pages, |key, was_dirty| {
+            dirty += u64::from(was_dirty);
+            victims.push(Evicted {
+                key,
+                dirty: was_dirty,
+            });
+        });
+        self.stats.evictions += pages;
+        self.stats.dirty_evictions += dirty;
+    }
+
+    /// Drops the resident pages `first..first + pages` of `inode` from the
+    /// extent index without informing the policy (the caller settles with
+    /// it), reporting each page with its dirty bit, ascending.
+    fn detach(
+        &mut self,
+        inode: u64,
+        first: u64,
+        pages: u64,
+        mut on_page: impl FnMut(PageKey, bool),
+    ) {
+        let Some(ix) = self.index.get_mut(inode) else {
+            return;
+        };
+        let end = first + pages;
+        let mut p = first;
+        if !ix.dirty.is_empty() {
+            for run in ix.dirty.runs_in(first..=end - 1) {
+                for q in p..*run.start() {
+                    on_page(PageKey::new(inode, q), false);
+                }
+                for q in run.clone() {
+                    on_page(PageKey::new(inode, q), true);
+                }
+                p = run.end() + 1;
+            }
+            ix.dirty.remove_range(first, pages);
+        }
+        for q in p..end {
+            on_page(PageKey::new(inode, q), false);
+        }
+        let removed = ix.resident.remove_range(first, pages);
+        ix.generation += removed;
+        self.len -= removed as usize;
+        self.pinned_len -= ix.pinned.remove_range(first, pages) as usize;
+    }
+
+    /// True when any of pages `first.index..first.index + pages` is pinned.
+    fn any_pinned(&self, first: PageKey, pages: u64) -> bool {
+        self.pinned_len > 0
+            && self.index.get(first.inode).is_some_and(|ix| {
+                !ix.pinned
+                    .runs_in(first.index..=first.index + pages - 1)
+                    .is_empty()
+            })
     }
 
     /// How many evictions until `key` would be chosen (0 = next out), when
@@ -317,6 +426,12 @@ impl PageCache {
     /// page's rank says where it *would* fall if unpinned.
     pub fn eviction_rank(&self, key: PageKey) -> Option<usize> {
         self.policy.eviction_rank(key)
+    }
+
+    /// [`eviction_rank`](Self::eviction_rank) of pages `0..pages` of
+    /// `inode`, in one pass over the policy's queue where it can.
+    pub fn eviction_ranks(&self, inode: u64, pages: u64) -> Vec<Option<usize>> {
+        self.policy.eviction_ranks(inode, pages)
     }
 
     /// Pins a resident page, exempting it from eviction until unpinned.
@@ -375,27 +490,35 @@ impl PageCache {
     /// Drops a page without writeback accounting (e.g. truncate). Returns
     /// whether it was dirty.
     pub fn remove(&mut self, key: PageKey) -> Option<bool> {
-        let dirty = self.detach(key)?;
-        self.policy.on_remove(key);
+        if !self.contains(key) {
+            return None;
+        }
+        let mut dirty = false;
+        self.detach(key.inode, key.index, 1, |_, was_dirty| dirty = was_dirty);
+        self.policy.on_remove(key, 1);
         Some(dirty)
     }
 
     /// Drops every page of `inode`, returning the dirty ones (the caller
     /// decides whether they must be flushed first, as `fsync` would).
     ///
-    /// Costs O(pages of this inode), not O(cache): the extent index knows
-    /// exactly which pages belong to the file.
+    /// Costs O(runs of this inode), not O(cache): the extent index knows
+    /// exactly which runs belong to the file, and each leaves the extents
+    /// and the policy in one range removal.
     pub fn remove_file(&mut self, inode: u64) -> Vec<PageKey> {
-        let Some(ix) = self.index.get(inode) else {
-            return Vec::new();
-        };
-        let pages: Vec<u64> = ix.resident.iter_pages().collect();
+        let runs: Vec<(u64, u64)> = self
+            .index
+            .get(inode)
+            .map(|ix| ix.resident.iter_runs().collect())
+            .unwrap_or_default();
         let mut dirty = Vec::new();
-        for p in pages {
-            let k = PageKey::new(inode, p);
-            if self.remove(k) == Some(true) {
-                dirty.push(k);
-            }
+        for (first, pages) in runs {
+            self.detach(inode, first, pages, |key, was_dirty| {
+                if was_dirty {
+                    dirty.push(key);
+                }
+            });
+            self.policy.on_remove(PageKey::new(inode, first), pages);
         }
         dirty
     }
@@ -482,15 +605,11 @@ impl PageCache {
         self.index.get(inode).map(|ix| ix.generation).unwrap_or(0)
     }
 
-    /// Drops everything (unmount without writeback; test helper).
+    /// Drops everything (unmount without writeback), a file's runs at a
+    /// time.
     pub fn clear(&mut self) {
-        let keys: Vec<PageKey> = self
-            .index
-            .iter()
-            .flat_map(|(ino, ix)| ix.resident.iter_pages().map(move |p| PageKey::new(ino, p)))
-            .collect();
-        for k in keys {
-            self.remove(k);
+        for inode in 0..self.index.0.len() as u64 {
+            self.remove_file(inode);
         }
     }
 }
@@ -829,5 +948,81 @@ mod tests {
         let g = c.generation(1);
         c.insert(PageKey::new(2, 0), false); // evicts inode 1's page
         assert!(c.generation(1) > g);
+    }
+
+    #[test]
+    fn insert_run_returns_victims_in_eviction_order() {
+        let mut c = PageCache::lru(4);
+        assert!(c.insert_run(1, 0, 4, true).is_empty());
+        c.mark_clean(key(1));
+        let victims = c.insert_run(2, 0, 3, false);
+        let expected: Vec<Evicted> = [(0, true), (1, false), (2, true)]
+            .into_iter()
+            .map(|(i, dirty)| Evicted { key: key(i), dirty })
+            .collect();
+        assert_eq!(victims, expected);
+        assert_eq!(c.generation(1), 4 + 3, "bumped once per page changed");
+        assert_eq!(c.generation(2), 3);
+        assert_eq!(c.resident_runs(1, 0..=3), vec![3..=3]);
+        assert_eq!(c.stats().dirty_evictions, 2);
+    }
+
+    #[test]
+    fn requeued_pages_are_evicted_at_their_new_position() {
+        // FIFO and Clock used to keep a removed page's old queue entry and
+        // evict the page there once it was inserted again.
+        for kind in [PolicyKind::Fifo, PolicyKind::Clock] {
+            let mut c = PageCache::new(3, kind);
+            c.insert(key(0), false);
+            c.insert(key(1), false);
+            c.remove(key(0));
+            c.insert(key(2), false);
+            c.insert(key(0), false);
+            let ev = c.insert(key(3), false).expect("cache is full");
+            assert_eq!(ev.key, key(1), "{}", kind.name());
+        }
+        // 2Q used to keep a promoted page's probation entry, so a page back
+        // on probation was evicted ahead of older newcomers.
+        let mut c = PageCache::new(8, PolicyKind::TwoQ);
+        for i in 0..8 {
+            c.insert(key(i), false);
+            c.lookup(key(i));
+        }
+        c.insert(key(100), false);
+        c.insert(key(0), false);
+        let ev = c.insert(key(200), false).expect("cache is full");
+        assert_eq!(ev.key, key(100), "probation is first in, first out");
+    }
+
+    #[test]
+    fn one_pass_eviction_ranks_match_per_page_ranks() {
+        for kind in [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Fifo] {
+            let mut c = PageCache::new(16, kind);
+            c.insert_run(1, 0, 6, false);
+            c.insert_run(2, 0, 3, false);
+            c.lookup(key(2));
+            c.remove(key(4));
+            c.insert_run(1, 8, 3, false);
+            c.lookup(PageKey::new(2, 1));
+            let per_page: Vec<_> = (0..12).map(|i| c.eviction_rank(key(i))).collect();
+            assert_eq!(c.eviction_ranks(1, 12), per_page, "{}", kind.name());
+            assert!(per_page.iter().any(Option::is_some) && per_page.iter().any(Option::is_none));
+        }
+    }
+
+    #[test]
+    fn range_removals_bump_generations_by_pages_removed() {
+        let mut c = PageCache::lru(16);
+        c.insert_run(1, 0, 5, true);
+        c.insert_run(1, 8, 2, false);
+        c.insert_run(2, 0, 3, false);
+        c.pin(key(1));
+        assert_eq!(c.remove_file(1), (0..5).map(key).collect::<Vec<_>>());
+        assert_eq!(c.generation(1), 7 + 7);
+        assert_eq!(c.pinned_count(), 0);
+        c.clear();
+        assert_eq!(c.generation(2), 3 + 3);
+        assert!(c.is_empty());
+        assert_eq!(c.dirty_count(), 0);
     }
 }

@@ -28,6 +28,8 @@ pub const PRICED_FIELDS: &[&str] = &["resident", "runs"];
 const MUT_METHODS: &[&str] = &[
     "insert",
     "remove",
+    "insert_range",
+    "remove_range",
     "push",
     "pop",
     "clear",
@@ -679,6 +681,17 @@ mod tests {
         assert!(evs.contains(&Event::EndSpan));
         assert!(evs.contains(&Event::MutatePriced("runs".into())));
         assert!(evs.contains(&Event::Call("helper".into())));
+    }
+
+    #[test]
+    fn range_updates_of_priced_state_are_mutations() {
+        for call in ["insert_range(p, n)", "remove_range(p, n)"] {
+            let cfg = cfg_of(&format!("fn f(&mut self) {{ self.resident.{call}; }}"));
+            assert!(
+                all_events(&cfg).contains(&Event::MutatePriced("resident".into())),
+                "{call}"
+            );
+        }
     }
 
     #[test]
